@@ -73,7 +73,12 @@ from repro import obs
 from repro.comm.protocol import Leaf, Node, ProtocolTree
 from repro.comm.truth_matrix import TruthMatrix
 from repro.trace import core as trace
-from repro.util.parallel import SharedBound, parmap, resolve_workers
+from repro.util.parallel import (
+    SharedBound,
+    parmap,
+    resolve_workers,
+    shutdown_pool,
+)
 
 #: Engine registry.  The version tags key the persistent cache: bump one
 #: whenever its engine could produce a different (even just differently
@@ -729,8 +734,9 @@ class _BitsetSearch:
 #: LRU of shared searches keyed by (engine, deduplicated bytes, shape), so a
 #: D(f) query followed by a tree or d^P query (the E15 pattern) reuses one
 #: search object.  Guarded by ``_SEARCH_CACHE_LOCK``: :mod:`repro.util
-#: .parallel` pools fork *processes* (each worker gets its own cache), but
-#: driver-side threads may share this one — see docs/performance.md.
+#: .parallel` pools fork *processes* (each worker keeps its own cache for as
+#: long as the shared pool lives), but driver-side threads may share this
+#: one — see docs/performance.md.
 _SEARCH_CACHE: OrderedDict[
     tuple[str, bytes, tuple[int, int]], "_BitsetSearch | _ExactSearch"
 ] = OrderedDict()
@@ -806,9 +812,14 @@ def _search_for(deduped: TruthMatrix, engine: str):
 def clear_search_cache() -> None:
     """Drop every in-process search object (the persistent on-disk cache,
     if configured, is unaffected — that is exactly what lets the bench
-    measure disk-cache warmth honestly)."""
+    measure disk-cache warmth honestly).
+
+    Also shuts the shared :func:`repro.util.parallel.parmap` pool down, so
+    the next pooled call forks workers with empty caches too.
+    """
     with _SEARCH_CACHE_LOCK:
         _SEARCH_CACHE.clear()
+    shutdown_pool()
 
 
 def search_cache_stats() -> dict:
@@ -892,9 +903,12 @@ def _round_robin(splits, n_chunks: int):
 def _worker_search(data_bytes: bytes, shape: tuple[int, int]) -> "_BitsetSearch":
     """Rebuild the bitset search inside a pool worker.
 
-    Routes through :func:`_search_for`, so consecutive chunk tasks that
-    land on the same (pool-persistent) worker process reuse one search
-    object — and with it the memo all chunks of this matrix share.
+    Routes through :func:`_search_for`, so chunk tasks that land on the
+    same worker reuse one search object and the memo it carries.  The
+    shared pool outlives a single ``parmap`` call, so this also holds across
+    calls: a D(f) fan-out followed by a d^P fan-out on the same matrix finds
+    the search its first call built, until :func:`clear_search_cache` or a
+    fingerprint change retires the pool.
     """
     data = np.frombuffer(data_bytes, dtype=np.uint8).reshape(shape)
     tmx = TruthMatrix(

@@ -284,6 +284,13 @@ class Tracer:
         with self._lock:
             return len(self._events)
 
+    def clear(self) -> None:
+        """Drop every recorded event and open span (sequence numbers go on)."""
+        with self._lock:
+            self._events.clear()
+            self._stack.clear()
+            self.dropped = 0
+
     # -- persistence ----------------------------------------------------
     def default_sink_path(self) -> Path | None:
         """Where :meth:`flush` writes when not given a path, or None."""
@@ -353,6 +360,20 @@ def _flush_env_tracers() -> None:
     for tracer in tracers:
         if len(tracer):
             tracer.flush()
+
+
+def forget_inherited() -> None:
+    """Empty every tracer this process knows of.
+
+    For a freshly forked pool worker: its tracers are copies of the
+    parent's, whose events and open spans the parent exports itself.
+    """
+    with _LOCK:
+        tracers = list(_ENV_TRACERS.values())
+        if _CONFIGURED is not None:
+            tracers.append(_CONFIGURED)
+    for tracer in tracers:
+        tracer.clear()
 
 
 def configure(path, capacity: int = DEFAULT_CAPACITY,

@@ -16,23 +16,44 @@ Worker-count resolution (:func:`resolve_workers`): an explicit argument
 wins, then the ``REPRO_WORKERS`` environment variable, then 1.  The CLI
 ``--workers`` flags feed the explicit argument.
 
+Pooled calls share one module-level process pool.  It starts lazily on
+the first pooled call and is reused for as long as its **fork-time
+fingerprint** holds: the process id, the resolved worker count, the active
+tracer, the active cache store and the ``REPRO_*`` environment variables.
+When any of them changes the old pool is shut down and a new one forked,
+so a worker never runs against a stale store, tracer or environment.  A
+call that fails discards the pool (the next call forks a fresh one), and
+:func:`shutdown_pool` — also called at interpreter exit and by
+:func:`repro.comm.exhaustive.clear_search_cache` — reaps it on demand.
+
 Caveats worth knowing:
 
 * task functions must be module-level (picklable) and tasks/results must
   pickle; keep them plain tuples and dataclasses;
-* :mod:`repro.obs` counters are process-local — a worker's counts die with
-  it unless the task folds them into its return value.
+* workers see the parent as it was when the pool was forked: state set in
+  the parent after that (a monkeypatch, a module global, a cleared LRU)
+  reaches them only if it is part of the fingerprint or the pool is shut
+  down first;
+* :mod:`repro.obs` counters are process-local — a worker's counts stay in
+  it unless the task folds them into its return value, and a reused
+  worker's registry accumulates across calls, so fold deltas, not totals;
+* pooled calls from several threads take turns on the one pool.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
 from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
-from typing import TypeVar
+from typing import TYPE_CHECKING, TypeVar
 
+from repro import obs
 from repro.trace import core as trace
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -43,9 +64,9 @@ _ENV_VAR = "REPRO_WORKERS"
 class _TracedShard:
     """Picklable wrapper adding a ``parmap.shard`` span around one task.
 
-    Used only when tracing is active: workers inherit ``REPRO_TRACE_DIR``
-    through the environment, so a pool worker's shard spans land in its own
-    per-process trace file, flushed after every task because worker
+    Used only when tracing is active: a worker inherits the parent's tracer
+    at fork (emptied by :func:`_init_worker`), so its shard spans land in
+    its own per-process trace file, flushed after every task because worker
     processes never run atexit hooks (obs counters stay process-local, and
     so do trace rings — the same contract).
     """
@@ -92,19 +113,20 @@ class SharedBound:
     The parallel branch-and-bound drivers (see
     :mod:`repro.comm.exhaustive`) hand every pool worker the same path;
     whenever a worker *witnesses* a cost it calls :meth:`publish`, and
-    other workers fold :meth:`get` into their pruning incumbent.  The
-    protocol is deliberately loose: reads may be stale and concurrent
-    publishes may briefly regress toward the larger value — a stale or
-    missing bound only weakens pruning, it can never change a computed
-    result, because callers are required to publish *witnessed* values
-    only (costs they actually achieved and will themselves return).
+    other workers fold :meth:`get` into their pruning incumbent.  Reads
+    may be stale — a stale or missing bound only weakens pruning, it can
+    never change a computed result, because callers are required to
+    publish *witnessed* values only (costs they actually achieved and will
+    themselves return).
 
-    Writes are atomic (pid+tid-named temp file + ``os.replace``) and
-    re-checked a few rounds so the file converges to the minimum;
-    every filesystem error degrades to "no bound", never to a raise.
+    The file is an append-only log of ``\\n<value>\\n`` records and the
+    bound is the minimum over its complete lines.  One ``O_APPEND`` write
+    per record keeps concurrent publishers from overwriting each other, so
+    the file always holds the minimum ever published; a record still being
+    written has no final newline yet and is not read, so a torn read can
+    never yield a smaller, unwitnessed value.  Every filesystem error
+    degrades to "no bound", never to a raise.
     """
-
-    _ROUNDS = 8
 
     def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
@@ -113,31 +135,122 @@ class SharedBound:
         """The smallest published value, or None (missing/corrupt file)."""
         try:
             text = self.path.read_text(encoding="ascii")
-            return int(text)
         except (OSError, ValueError):
             return None
+        best = None
+        for line in text.split("\n")[:-1]:
+            try:
+                value = int(line)
+            except ValueError:
+                continue
+            if best is None or value < best:
+                best = value
+        return best
 
     def publish(self, value: int) -> int:
         """Merge ``value`` in; returns the best value known afterwards."""
         value = int(value)
-        tmp = self.path.with_name(
-            f"{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        for _ in range(self._ROUNDS):
-            current = self.get()
-            if current is not None and current <= value:
-                return current
+        current = self.get()
+        if current is not None and current <= value:
+            return current
+        try:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
             try:
-                tmp.write_text(str(value), encoding="ascii")
-                os.replace(tmp, self.path)
-            except OSError:
-                return value if current is None else min(value, current)
-            # A concurrent replace can land after ours with a larger
-            # value; re-read and re-assert until the file agrees.
-            seen = self.get()
-            if seen is not None and seen <= value:
-                return seen
-        return value
+                os.write(fd, f"\n{value}\n".encode("ascii"))
+            finally:
+                os.close(fd)
+        except OSError:
+            return value if current is None else min(value, current)
+        seen = self.get()
+        return value if seen is None else min(value, seen)
+
+
+_POOL_LOCK = threading.Lock()
+_POOL: ProcessPoolExecutor | None = None
+_POOL_KEY: tuple | None = None
+
+
+def _fork_fingerprint(n_workers: int) -> tuple:
+    """What a worker inherits at fork; the pool is reused while it holds.
+
+    The tracer and store compare by identity (neither defines ``__eq__``),
+    and the tuple keeps them alive, so a recycled ``id`` can never match.
+    """
+    from repro import cache  # here, so serial-only importers skip it
+
+    env = tuple(
+        sorted((k, v) for k, v in os.environ.items() if k.startswith("REPRO_"))
+    )
+    return (
+        os.getpid(), n_workers, trace.active_tracer(), cache.active_store(), env
+    )
+
+
+def _init_worker() -> None:
+    """Pool initializer: start the worker with no pool and an empty trace.
+
+    A forked worker inherits the parent's pool handle (and its lock, held
+    while the pool forks) and the parent's trace ring; the parent owns
+    and exports both, so the worker forgets them.  A pool the worker starts
+    itself (a nested ``parmap``) must be reaped before the worker's exit
+    joins its children, and workers skip atexit, hence the finalizer; its
+    priority runs it before the queues' own (10) stop their feeder threads,
+    which would strand the pool's shutdown sentinels.
+    """
+    global _POOL, _POOL_KEY, _POOL_LOCK
+    from multiprocessing import util
+
+    _POOL = _POOL_KEY = None
+    _POOL_LOCK = threading.Lock()
+    trace.forget_inherited()
+    util.Finalize(None, shutdown_pool, exitpriority=20)
+
+
+def _drop_pool() -> None:
+    """Forget the shared pool; shut it down if this process started it.
+
+    Caller holds ``_POOL_LOCK``.  A pool inherited through some other fork
+    belongs to the parent and is only forgotten.
+    """
+    global _POOL, _POOL_KEY
+    pool, key = _POOL, _POOL_KEY
+    _POOL = _POOL_KEY = None
+    if pool is not None and key[0] == os.getpid():
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _shared_pool(n_workers: int) -> ProcessPoolExecutor:
+    """The shared pool, forked anew unless its fingerprint still holds.
+
+    Caller holds ``_POOL_LOCK``.
+    """
+    global _POOL, _POOL_KEY
+    # Imported here so serial users never pay for the machinery.
+    from concurrent.futures import ProcessPoolExecutor
+
+    key = _fork_fingerprint(n_workers)
+    if _POOL is not None and _POOL_KEY == key:
+        obs.counter("parallel.pool_reuses").inc()
+        return _POOL
+    _drop_pool()
+    with trace.span("parmap.pool_start", workers=n_workers):
+        pool = ProcessPoolExecutor(
+            max_workers=n_workers, initializer=_init_worker
+        )
+        _POOL, _POOL_KEY = pool, key
+        # Fork every worker now, inside the span, not in the first map.
+        pool.submit(os.getpid).result()
+    obs.counter("parallel.pool_starts").inc()
+    return pool
+
+
+def shutdown_pool() -> None:
+    """Shut the shared pool down and reap its workers (no-op if none)."""
+    with _POOL_LOCK:
+        _drop_pool()
+
+
+atexit.register(shutdown_pool)
 
 
 def parmap(
@@ -161,6 +274,8 @@ def parmap(
     heavy uneven tasks — exact D(f) searches, truth-matrix blocks —
     should pass ``chunksize=1`` so one slow task never strands a queue of
     finished work behind it.
+
+    Pooled calls run on the shared pool described in the module docstring.
     """
     task_list: Sequence[T] = list(tasks)
     n_workers = resolve_workers(workers)
@@ -174,24 +289,22 @@ def parmap(
                 with trace.span("parmap.shard", index=index):
                     out.append(fn(task))
             return out
-    # Import here so serial users never pay for the machinery.
-    from concurrent.futures import ProcessPoolExecutor
-
-    n_workers = min(n_workers, len(task_list))
+    busy = min(n_workers, len(task_list))
     if chunksize is None:
         # Aim for ~4 chunks per worker: amortizes pickling without leaving
         # stragglers at the tail of uneven task costs.
-        chunksize = max(1, len(task_list) // (4 * n_workers))
-    with trace.span("parmap", tasks=len(task_list), workers=n_workers):
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            if tracing:
-                # Shard spans record in each worker's own tracer (activated
-                # by the inherited REPRO_TRACE_DIR, if any); the wrapper
-                # changes nothing about what fn computes.
-                shard = _TracedShard(fn)
-                return list(
-                    pool.map(
-                        shard, list(enumerate(task_list)), chunksize=chunksize
-                    )
-                )
-            return list(pool.map(fn, task_list, chunksize=chunksize))
+        chunksize = max(1, len(task_list) // (4 * busy))
+    if tracing:
+        # Shard spans record in each worker's own tracer; the wrapper
+        # changes nothing about what fn computes.
+        fn, task_list = _TracedShard(fn), list(enumerate(task_list))
+    with trace.span("parmap", tasks=len(task_list), workers=busy):
+        with _POOL_LOCK:
+            try:
+                pool = _shared_pool(n_workers)
+                return list(pool.map(fn, task_list, chunksize=chunksize))
+            except BaseException:
+                # The pool may be broken, or still running the failed
+                # call's other tasks: the next call gets a fresh one.
+                _drop_pool()
+                raise

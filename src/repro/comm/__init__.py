@@ -88,7 +88,6 @@ from repro.comm.transport import (
 from repro.comm.chaos import (
     FAULT_KINDS,
     SCENARIOS,
-    ChaosCase,
     ChaosOutcome,
     SweepPoint,
     make_fault_model,
@@ -232,7 +231,6 @@ __all__ = [
     "reliable_pair",
     "FAULT_KINDS",
     "SCENARIOS",
-    "ChaosCase",
     "ChaosOutcome",
     "SweepPoint",
     "make_fault_model",

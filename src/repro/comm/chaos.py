@@ -1,9 +1,11 @@
 """Chaos harness: protocols under injected faults, measured honestly.
 
 The question this module answers is empirical: *when the channel misbehaves,
-does the stack fail safely?*  For every registered protocol scenario it
+does the stack fail safely?*  For every named scenario in :data:`SCENARIOS`
+it
 
-1. builds a fresh random instance (deterministically, from a seed),
+1. builds a fresh random instance (deterministically, from a seed) with
+   the scenario's shared builder from :mod:`repro.matrix.scenarios`,
 2. runs it once on a clean channel — the **gold standard** answer for this
    exact instance and these exact public coins,
 3. re-runs it through the ARQ transport (:mod:`repro.comm.transport`) over a
@@ -16,17 +18,18 @@ does the stack fail safely?*  For every registered protocol scenario it
 :func:`sweep` aggregates this over fault kinds × rates × seeds into
 :class:`SweepPoint` rows: correctness and overhead curves against fault
 rate.  The ``chaos`` CLI subcommand and ``benchmarks/bench_e17_chaos.py``
-are thin shells over these functions.
+are thin shells over these functions; the scenario matrix's faulted cells
+judge their runs with :func:`run_case` too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Any
 
-from repro.comm.agents import RunReport, run_protocol, run_supervised
-from repro.comm.bits import MatrixBitCodec
+from repro.comm.agents import RunReport, RunResult, run_protocol, run_supervised
 from repro.comm.channel import BitChannel
 from repro.comm.faults import (
     BitFlipFaults,
@@ -38,8 +41,12 @@ from repro.comm.faults import (
     FaultyChannel,
     NoFaults,
 )
-from repro.comm.partition import pi_zero
-from repro.comm.transport import ArqConfig, TransportStats, reliable_pair
+from repro.comm.transport import (
+    ArqConfig,
+    ArqEndpoint,
+    TransportStats,
+    reliable_pair,
+)
 from repro.trace import core as trace
 from repro.util.fmt import Table
 from repro.util.parallel import parmap
@@ -47,116 +54,43 @@ from repro.util.rng import ReproducibleRNG, derive_seed
 
 
 @dataclass(frozen=True)
-class ChaosCase:
-    """One concrete protocol instance ready to execute.
+class Scenario:
+    """A named instance family: one shared case builder at fixed params.
 
     Attributes:
-        protocol: an object with ``agent0``/``agent1`` generator methods
-            (a :class:`~repro.comm.protocol.TwoPartyProtocol` or
-            :class:`~repro.comm.randomized.RandomizedProtocol`).
-        input0: agent 0's local input.
-        input1: agent 1's local input.
-        randomized: True when the agents take public coins.
+        builder: name of a case builder in :mod:`repro.matrix.scenarios`,
+            resolved at call time — :mod:`repro.matrix` imports this
+            package, so this module does not import it back.
+        params: the builder's fixed keyword parameters.
     """
 
-    protocol: Any
-    input0: Any
-    input1: Any
-    randomized: bool = False
+    builder: str
+    params: dict[str, int]
+
+    # Resolved once per scenario (cached_property writes the instance
+    # dict, which a frozen dataclass allows): one case per service
+    # request or chaos run must not pay an import and a lookup each time.
+    @cached_property
+    def _build(self) -> Callable[[int], Any]:
+        from repro.matrix import scenarios
+
+        return partial(getattr(scenarios, self.builder), **self.params)
+
+    def __call__(self, seed: int) -> Any:
+        """The seeded :class:`~repro.matrix.scenarios.MatrixCase`."""
+        return self._build(seed)
 
 
-def _case_equality(seed: int) -> ChaosCase:
-    """EQ_16 on random strings (equal half the time)."""
-    from repro.protocols.equality import DeterministicEquality
-
-    rng = ReproducibleRNG(seed)
-    n = 16
-    x = tuple(rng.bit_vector(n))
-    y = tuple(x) if rng.random() < 0.5 else tuple(rng.bit_vector(n))
-    return ChaosCase(DeterministicEquality(n), x, y)
-
-
-def _pi_zero_views(seed: int, size: int, k: int):
-    """A random matrix split by π₀: (codec, partition, view0, view1)."""
-    from repro.exact.matrix import Matrix
-
-    rng = ReproducibleRNG(seed)
-    codec = MatrixBitCodec(size, size, k)
-    partition = pi_zero(codec)
-    m = Matrix.random_kbit(rng, size, size, k)
-    view0, view1 = partition.split_input(codec.encode(m))
-    return codec, partition, view0, view1
-
-
-def _case_trivial(seed: int) -> ChaosCase:
-    """Send-everything singularity on a 4×4 2-bit matrix under π₀."""
-    from repro.protocols.trivial import TrivialProtocol
-
-    codec, partition, view0, view1 = _pi_zero_views(seed, size=4, k=2)
-    return ChaosCase(TrivialProtocol(codec, partition), view0, view1)
-
-
-def _case_fingerprint(seed: int) -> ChaosCase:
-    """Randomized fingerprint singularity on a 4×4 2-bit matrix under π₀."""
-    from repro.protocols.fingerprint import FingerprintProtocol
-
-    codec, partition, view0, view1 = _pi_zero_views(seed, size=4, k=2)
-    return ChaosCase(
-        FingerprintProtocol(codec, partition), view0, view1, randomized=True
-    )
-
-
-def _case_matmul_verify(seed: int) -> ChaosCase:
-    """Deterministic C = A·B verification, 2×2 with 2-bit entries."""
-    from repro.exact.matrix import Matrix
-    from repro.protocols.matmul_verify import DeterministicMatMulVerify
-
-    rng = ReproducibleRNG(seed)
-    n, k = 2, 2
-    a = Matrix.random_kbit(rng, n, n, k)
-    b = Matrix.random_kbit(rng, n, n, k)
-    c = a @ b
-    if rng.random() < 0.5:  # half the instances are wrong products
-        rows = [list(c.row(i)) for i in range(n)]
-        rows[rng.randrange(n)][rng.randrange(n)] += 1
-        c = Matrix(rows)
-    return ChaosCase(DeterministicMatMulVerify(n, k), (a, b), c)
-
-
-def _case_rank_protocol(seed: int) -> ChaosCase:
-    """Column-basis π₀ singularity on a 4×4 0/1 matrix."""
-    from repro.exact.matrix import Matrix
-    from repro.protocols.rank_protocol import ColumnBasisProtocol
-
-    rng = ReproducibleRNG(seed)
-    m = Matrix.random_kbit(rng, 4, 4, 1)
-    left = m.slice(0, 4, 0, 2)
-    right = m.slice(0, 4, 2, 4)
-    return ChaosCase(ColumnBasisProtocol(), left, right)
-
-
-def _case_solvability(seed: int) -> ChaosCase:
-    """Trivial Ax = b solvability on a 3×4 system with 2-bit entries."""
-    from repro.exact.matrix import Matrix
-    from repro.exact.vector import Vector
-    from repro.protocols.solvability import TrivialSolvability, split_system
-
-    rng = ReproducibleRNG(seed)
-    n_rows, n_cols, k = 3, 4, 2
-    a = Matrix.random_kbit(rng, n_rows, n_cols, k)
-    b = Vector([rng.kbit_entry(k) for _ in range(n_rows)])
-    left, right = split_system(a, b)
-    return ChaosCase(TrivialSolvability(n_rows, k), left, right)
-
-
-#: Registered scenarios: name → (instance seed → :class:`ChaosCase`).
-SCENARIOS: dict[str, Callable[[int], ChaosCase]] = {
-    "equality": _case_equality,
-    "trivial": _case_trivial,
-    "fingerprint": _case_fingerprint,
-    "matmul_verify": _case_matmul_verify,
-    "rank_protocol": _case_rank_protocol,
-    "solvability": _case_solvability,
+#: Registered scenarios: name → instance seed → case.
+SCENARIOS: dict[str, Scenario] = {
+    "equality": Scenario("_det_equality", {"n": 16}),
+    "trivial": Scenario("_det_singularity", {"size": 4, "k": 2}),
+    "fingerprint": Scenario("_rand_fingerprint", {"size": 4, "k": 2}),
+    "matmul_verify": Scenario("_det_matmul", {"n": 2, "k": 2}),
+    "rank_protocol": Scenario("_det_column_basis", {"size": 4}),
+    "solvability": Scenario(
+        "_det_solvability", {"n_rows": 3, "n_cols": 4, "k": 2}
+    ),
 }
 
 
@@ -217,38 +151,45 @@ class ChaosOutcome:
         return self.report.ok and self.answer != self.gold
 
 
-def run_case(
-    case: ChaosCase,
-    fault_model: FaultModel,
-    coin_seed: int = 0,
-    config: ArqConfig | None = None,
-    max_steps: int = 10_000_000,
-) -> ChaosOutcome:
-    """Execute one case under faults, ARQ-protected, judged against gold.
+def run_clean(case: Any, coin_seed: int = 0) -> RunResult:
+    """Run ``case`` once on a bare clean channel (no transport, no faults).
 
-    The gold standard is the *same* instance with the *same* public coins on
-    a clean channel (no transport, no faults) — so for randomized protocols
-    a disagreement really is corruption, never coin luck.
+    ``case`` is a :class:`~repro.matrix.scenarios.MatrixCase` (any object
+    with ``protocol``, ``input0``, ``input1`` and ``randomized``); a
+    randomized case takes ``ReproducibleRNG(coin_seed)`` as its public
+    coins, exactly as :func:`run_arq` does.
     """
-    protocol = case.protocol
     coins = ReproducibleRNG(coin_seed) if case.randomized else None
-    gold = run_protocol(
-        protocol.agent0,
-        protocol.agent1,
+    return run_protocol(
+        case.protocol.agent0,
+        case.protocol.agent1,
         case.input0,
         case.input1,
         public_randomness=coins,
-    ).agreed_output()
+    )
 
-    coins = ReproducibleRNG(coin_seed) if case.randomized else None
-    if coins is None:
-        inner0 = protocol.agent0(case.input0)
-        inner1 = protocol.agent1(case.input1)
-    else:
+
+def run_arq(
+    case: Any,
+    channel: BitChannel,
+    coin_seed: int = 0,
+    config: ArqConfig | None = None,
+    max_steps: int = 10_000_000,
+) -> tuple[RunReport, ArqEndpoint, ArqEndpoint]:
+    """Run ``case`` through ARQ endpoints over ``channel``, supervised.
+
+    Returns ``(report, endpoint0, endpoint1)``.  The coins are those of
+    :func:`run_clean` at the same ``coin_seed``.
+    """
+    protocol = case.protocol
+    if case.randomized:
+        coins = ReproducibleRNG(coin_seed)
         inner0 = protocol.agent0(case.input0, coins)
         inner1 = protocol.agent1(case.input1, coins)
+    else:
+        inner0 = protocol.agent0(case.input0)
+        inner1 = protocol.agent1(case.input1)
     wrapped0, wrapped1, e0, e1 = reliable_pair(inner0, inner1, config)
-    channel = FaultyChannel(fault_model)
     report = run_supervised(
         lambda _: wrapped0,
         lambda _: wrapped1,
@@ -257,28 +198,58 @@ def run_case(
         channel=channel,
         max_steps=max_steps,
     )
-    # Standing reconciliation of the transport accounting (the costs gate's
-    # invariants, checked on every chaos run, faulty or not):
-    #  * the four bit buckets partition each endpoint's wire bits exactly;
-    #  * on completed runs, every bit an endpoint claims it sent is a bit
-    #    the channel transcript actually recorded (a failed run may die
-    #    between an endpoint's accounting and a closed channel's refusal,
-    #    so the cross-check is only exact when the run finished).
-    for agent, endpoint in ((0, e0), (1, e1)):
-        if endpoint.stats.wire_bits != endpoint.stats.accounted_bits:
-            raise AssertionError(
-                f"endpoint {agent} buckets leak: wire "
-                f"{endpoint.stats.wire_bits} != accounted "
-                f"{endpoint.stats.accounted_bits}"
+    return report, e0, e1
+
+
+def accounting_problems(
+    report: RunReport, endpoints: tuple[ArqEndpoint, ArqEndpoint]
+) -> list[str]:
+    """Violations of the transport accounting invariants in one ARQ run.
+
+    * the four bit buckets partition each endpoint's wire bits exactly;
+    * on completed runs, every bit an endpoint claims it sent is a bit
+      the channel transcript actually recorded (a failed run may die
+      between an endpoint's accounting and a closed channel's refusal,
+      so the cross-check is only exact when the run finished).
+    """
+    problems: list[str] = []
+    for agent, endpoint in enumerate(endpoints):
+        stats = endpoint.stats
+        if stats.wire_bits != stats.accounted_bits:
+            problems.append(
+                f"arq endpoint {agent} buckets: wire {stats.wire_bits} "
+                f"!= accounted {stats.accounted_bits}"
             )
-        if report.ok and (
-            channel.transcript.bits_from(agent) != endpoint.stats.wire_bits
-        ):
-            raise AssertionError(
-                f"endpoint {agent} wire accounting drifted: channel saw "
-                f"{channel.transcript.bits_from(agent)} bits, endpoint "
-                f"claims {endpoint.stats.wire_bits}"
+        seen = report.transcript.bits_from(agent)
+        if report.ok and seen != stats.wire_bits:
+            problems.append(
+                f"arq endpoint {agent}: channel saw {seen} bits, "
+                f"endpoint claims {stats.wire_bits}"
             )
+    return problems
+
+
+def run_case(
+    case: Any,
+    fault_model: FaultModel,
+    coin_seed: int = 0,
+    config: ArqConfig | None = None,
+    max_steps: int = 10_000_000,
+) -> ChaosOutcome:
+    """Execute one case under faults, ARQ-protected, judged against gold.
+
+    The gold standard is the *same* instance with the *same* public coins
+    on a clean channel (:func:`run_clean`) — so for randomized protocols
+    a disagreement really is corruption, never coin luck.  Every run,
+    faulty or not, must also keep :func:`accounting_problems` empty.
+    """
+    gold = run_clean(case, coin_seed).agreed_output()
+    report, e0, e1 = run_arq(
+        case, FaultyChannel(fault_model), coin_seed, config, max_steps
+    )
+    problems = accounting_problems(report, (e0, e1))
+    if problems:
+        raise AssertionError("; ".join(problems))
     stats = e0.stats.merged(e1.stats)
     report = replace(
         report,
@@ -462,7 +433,9 @@ def sweep(
 
     Every cell aggregates ``runs`` seeded executions with independent
     instances, coins and fault randomness (all derived from ``seed``, so
-    the whole sweep replays exactly).  Runs fan out through
+    the whole sweep replays exactly).  Unknown protocols or fault kinds,
+    negative rates and ``runs < 1`` raise :class:`ValueError` before any
+    run is dispatched.  Runs fan out through
     :func:`repro.util.parallel.parmap`; the verdicts are bit-identical at
     every ``workers`` value because each run's randomness comes from its
     coordinates, never from shared state.
@@ -471,6 +444,13 @@ def sweep(
     unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
         raise ValueError(f"unknown protocols {unknown}; have {sorted(SCENARIOS)}")
+    unknown = [k for k in kinds if k not in FAULT_KINDS]
+    if unknown:
+        raise ValueError(f"unknown fault kinds {unknown}; have {list(FAULT_KINDS)}")
+    if any(rate < 0 for rate in rates):
+        raise ValueError("fault rates must be >= 0")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     cells = [
         (name, kind, rate)
         for name in names

@@ -27,7 +27,7 @@ The layers:
   numerically for comparison with ``shape_of`` — the three-way
   code↔plan↔formula gate (docs/static_analysis.md).
 * :mod:`repro.costs.validate` — the measured-vs-predicted sweep behind
-  ``python -m repro costs``, the bench gate and CI's ``costs-gate``:
+  ``python -m repro costs``, the bench gate and CI's ``matrix-gate``:
   every cell runs the protocol live (clean channel and clean-channel
   ARQ) and demands exact equality, emitting a pinned schema-v1 JSON of
   measured/predicted/bound/verdict per cell.

@@ -274,8 +274,9 @@ def shape_of(protocol, input0=None) -> MessageShape:
 def scenario_shape(name: str, seed: int) -> MessageShape:
     """The cost model of one chaos scenario instance (serve's pricer).
 
-    Builds the same :class:`~repro.comm.chaos.ChaosCase` that
-    ``protocol.run`` would execute and returns its shape — so
+    Builds the same :class:`~repro.matrix.scenarios.MatrixCase` that
+    ``protocol.run`` would execute (``SCENARIOS[name](seed)``, the shared
+    builder at the scenario's fixed params) and returns its shape — so
     ``repro.serve`` can price a request exactly without running it.
     """
     from repro.comm.chaos import SCENARIOS

@@ -1,7 +1,9 @@
 """The measured-vs-predicted sweep: every formula checked on a live wire.
 
-Each sweep cell builds one seeded protocol instance, derives its
-:class:`~repro.costs.models.MessageShape`, then runs the instance twice:
+Each sweep cell builds one seeded protocol instance with a shared builder
+from :mod:`repro.matrix.scenarios` and audits it with the scenario
+matrix's clean legs (:func:`repro.matrix.sweep.clean_legs`), which run
+the instance twice:
 
 1. **clean channel** — :func:`repro.comm.agents.run_protocol` on a bare
    :class:`~repro.comm.channel.BitChannel`; the transcript's total bits,
@@ -18,59 +20,21 @@ Each sweep cell builds one seeded protocol instance, derives its
 Every comparison is integer equality — a cell is ``MATCH`` or it is
 ``MISMATCH`` with the exact discrepancies listed, and any ``MISMATCH`` is
 a bug in either the formula or the stack, never acceptable noise.  The
-``python -m repro costs`` CLI, the bench gate and CI's ``costs-gate`` all
-consume :func:`run_sweep` / :func:`sweep_report`; the JSON layout is
+``python -m repro costs`` CLI, the bench gate and CI's ``matrix-gate``
+all consume :func:`run_sweep` / :func:`sweep_report`; the JSON layout is
 pinned at ``COSTS_SCHEMA_VERSION``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.costs.models import (
-    MessageShape,
-    leighton_upper_bound_bits,
-    shape_of,
-    theorem_lower_bound_bits,
-    trivial_upper_bound_bits,
-)
 from repro.util.fmt import Table
-from repro.util.rng import ReproducibleRNG, derive_seed
+from repro.util.rng import derive_seed
 
 #: Version of the ``sweep_report`` JSON layout (bump on any key change).
 COSTS_SCHEMA_VERSION = 1
-
-#: Frame-payload cap used by the sweep's ARQ leg: small enough that the
-#: larger protocols split into many frames (exercising the chunked
-#: framing/ACK formulas), large enough that runs stay fast.
-SWEEP_FRAME_PAYLOAD = 64
-
-#: Scheduler step budget for one sweep cell's ARQ run.
-_MAX_STEPS = 2_000_000
-
-
-@dataclass(frozen=True)
-class CostCase:
-    """One concrete instance the sweep validates.
-
-    Attributes:
-        family: stable protocol-family key (sweep cell identity).
-        params: the cell's axis coordinates (sizes, widths, rounds).
-        protocol: the protocol object (``agent0``/``agent1`` generators).
-        input0 / input1: the agents' local inputs.
-        randomized: True when the agents take public coins.
-        bounds: the paper's bound formulas evaluated at this cell's (n, k)
-            — informational columns, empty when the axes don't apply.
-    """
-
-    family: str
-    params: dict[str, int]
-    protocol: Any
-    input0: Any
-    input1: Any
-    randomized: bool = False
-    bounds: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -111,252 +75,56 @@ class SweepCell:
         }
 
 
-# ----------------------------------------------------------------------
-# Case builders (one seeded instance per axis point)
-# ----------------------------------------------------------------------
-def _singularity_bounds(size: int, k: int) -> dict[str, int]:
-    """The paper's bound columns for a ``size × size`` k-bit instance
-    (``size = 2n`` in the paper's normalization)."""
-    n = size // 2
-    return {
-        "lower": theorem_lower_bound_bits(n, k),
-        "trivial_upper": trivial_upper_bound_bits(n, k),
-        "leighton_upper": leighton_upper_bound_bits(n, k),
-    }
+def sweep_axes(quick: bool = False) -> list[tuple[str, Callable[..., Any], dict]]:
+    """The sweep's cells: (pinned family name, builder, params) per cell.
 
-
-def _pi_zero_views(seed: int, size: int, k: int):
-    from repro.comm.bits import MatrixBitCodec
-    from repro.comm.partition import pi_zero
-    from repro.exact.matrix import Matrix
-
-    rng = ReproducibleRNG(seed)
-    codec = MatrixBitCodec(size, size, k)
-    partition = pi_zero(codec)
-    m = Matrix.random_kbit(rng, size, size, k)
-    view0, view1 = partition.split_input(codec.encode(m))
-    return codec, partition, view0, view1
-
-
-def _case_equality_det(seed: int, n: int) -> CostCase:
-    from repro.protocols.equality import DeterministicEquality
-
-    rng = ReproducibleRNG(seed)
-    x = tuple(rng.bit_vector(n))
-    y = tuple(x) if rng.randrange(2) else tuple(rng.bit_vector(n))
-    return CostCase(
-        "equality-deterministic", {"n_bits": n}, DeterministicEquality(n), x, y
-    )
-
-
-def _case_equality_rand(seed: int, n: int, rounds: int) -> CostCase:
-    from repro.protocols.equality import RandomizedEquality
-
-    rng = ReproducibleRNG(seed)
-    x = tuple(rng.bit_vector(n))
-    y = tuple(x) if rng.randrange(2) else tuple(rng.bit_vector(n))
-    return CostCase(
-        "equality-randomized",
-        {"n_bits": n, "rounds": rounds},
-        RandomizedEquality(n, rounds),
-        x,
-        y,
-        randomized=True,
-    )
-
-
-def _case_equality_rk(seed: int, n: int) -> CostCase:
-    from repro.protocols.equality import RabinKarpEquality
-
-    rng = ReproducibleRNG(seed)
-    x = tuple(rng.bit_vector(n))
-    y = tuple(x) if rng.randrange(2) else tuple(rng.bit_vector(n))
-    return CostCase(
-        "equality-rabin-karp",
-        {"n_bits": n},
-        RabinKarpEquality(n),
-        x,
-        y,
-        randomized=True,
-    )
-
-
-def _case_trivial(seed: int, size: int, k: int) -> CostCase:
-    from repro.protocols.trivial import TrivialProtocol
-
-    codec, partition, view0, view1 = _pi_zero_views(seed, size, k)
-    return CostCase(
-        "trivial-singularity",
-        {"size": size, "k": k},
-        TrivialProtocol(codec, partition),
-        view0,
-        view1,
-        bounds=_singularity_bounds(size, k),
-    )
-
-
-def _case_fingerprint(seed: int, size: int, k: int) -> CostCase:
-    from repro.protocols.fingerprint import FingerprintProtocol
-
-    codec, partition, view0, view1 = _pi_zero_views(seed, size, k)
-    return CostCase(
-        "fingerprint-singularity",
-        {"size": size, "k": k},
-        FingerprintProtocol(codec, partition),
-        view0,
-        view1,
-        randomized=True,
-        bounds=_singularity_bounds(size, k),
-    )
-
-
-def _case_rank_basis(seed: int, size: int) -> CostCase:
-    from repro.exact.matrix import Matrix
-    from repro.protocols.rank_protocol import ColumnBasisProtocol
-
-    rng = ReproducibleRNG(seed)
-    m = Matrix.random_kbit(rng, size, size, 1)
-    half = size // 2
-    left = m.slice(0, size, 0, half)
-    right = m.slice(0, size, half, size)
-    return CostCase(
-        "rank-column-basis",
-        {"size": size},
-        ColumnBasisProtocol(),
-        left,
-        right,
-        bounds=_singularity_bounds(size, 1),
-    )
-
-
-def _solvability_instance(seed: int, n_rows: int, n_cols: int, k: int):
-    from repro.exact.matrix import Matrix
-    from repro.exact.vector import Vector
-    from repro.protocols.solvability import split_system
-
-    rng = ReproducibleRNG(seed)
-    a = Matrix.random_kbit(rng, n_rows, n_cols, k)
-    b = Vector([rng.kbit_entry(k) for _ in range(n_rows)])
-    return split_system(a, b)
-
-
-def _case_solvability_trivial(
-    seed: int, n_rows: int, n_cols: int, k: int
-) -> CostCase:
-    from repro.protocols.solvability import TrivialSolvability
-
-    left, right = _solvability_instance(seed, n_rows, n_cols, k)
-    return CostCase(
-        "solvability-trivial",
-        {"n_rows": n_rows, "n_cols": n_cols, "k": k},
-        TrivialSolvability(n_rows, k),
-        left,
-        right,
-    )
-
-
-def _case_solvability_fp(
-    seed: int, n_rows: int, n_cols: int, k: int
-) -> CostCase:
-    from repro.protocols.solvability import FingerprintSolvability
-
-    left, right = _solvability_instance(seed, n_rows, n_cols, k)
-    return CostCase(
-        "solvability-fingerprint",
-        {"n_rows": n_rows, "n_cols": n_cols, "k": k},
-        FingerprintSolvability(n_rows, k),
-        left,
-        right,
-        randomized=True,
-    )
-
-
-def _matmul_instance(seed: int, n: int, k: int):
-    from repro.exact.matrix import Matrix
-
-    rng = ReproducibleRNG(seed)
-    a = Matrix.random_kbit(rng, n, n, k)
-    b = Matrix.random_kbit(rng, n, n, k)
-    c = a @ b
-    if rng.randrange(2):  # half the instances are wrong products
-        rows = [list(c.row(i)) for i in range(n)]
-        rows[rng.randrange(n)][rng.randrange(n)] += 1
-        c = Matrix(rows)
-    return (a, b), c
-
-
-def _case_matmul_det(seed: int, n: int, k: int) -> CostCase:
-    from repro.protocols.matmul_verify import DeterministicMatMulVerify
-
-    input0, c = _matmul_instance(seed, n, k)
-    return CostCase(
-        "matmul-verify-deterministic",
-        {"n": n, "k": k},
-        DeterministicMatMulVerify(n, k),
-        input0,
-        c,
-        bounds={
-            "lower": theorem_lower_bound_bits(n, k),
-            "trivial_upper": trivial_upper_bound_bits(n, k),
-        },
-    )
-
-
-def _case_freivalds(seed: int, n: int, k: int, rounds: int) -> CostCase:
-    from repro.protocols.matmul_verify import FreivaldsVerify
-
-    input0, c = _matmul_instance(seed, n, k)
-    return CostCase(
-        "matmul-verify-freivalds",
-        {"n": n, "k": k, "rounds": rounds},
-        FreivaldsVerify(n, k, rounds),
-        input0,
-        c,
-        randomized=True,
-    )
-
-
-def sweep_axes(quick: bool = False) -> list[tuple[Callable[..., CostCase], dict]]:
-    """The sweep's cells: (builder, axis coordinates) per cell.
-
-    Quick mode keeps one or two points per family (the CI gate); full mode
-    widens every axis.  Every implemented protocol appears in both.
+    Builders come from :mod:`repro.matrix.scenarios`.  Quick mode keeps
+    one or two points per family (the CI gate); full mode widens every
+    axis.  Every implemented protocol appears in both.
     """
+    from repro.matrix import scenarios as s
+
     if quick:
         return [
-            (_case_equality_det, {"n": 16}),
-            (_case_equality_rand, {"n": 16, "rounds": 8}),
-            (_case_equality_rk, {"n": 8}),
-            (_case_trivial, {"size": 4, "k": 2}),
-            (_case_fingerprint, {"size": 4, "k": 2}),
-            (_case_rank_basis, {"size": 4}),
-            (_case_solvability_trivial, {"n_rows": 3, "n_cols": 4, "k": 2}),
-            (_case_solvability_fp, {"n_rows": 3, "n_cols": 4, "k": 2}),
-            (_case_matmul_det, {"n": 2, "k": 2}),
-            (_case_freivalds, {"n": 2, "k": 2, "rounds": 2}),
+            ("equality-deterministic", s._det_equality, {"n": 16}),
+            ("equality-randomized", s._rand_equality, {"n": 16, "rounds": 8}),
+            ("equality-rabin-karp", s._rand_rabin_karp, {"n": 8}),
+            ("trivial-singularity", s._det_singularity, {"size": 4, "k": 2}),
+            ("fingerprint-singularity", s._rand_fingerprint, {"size": 4, "k": 2}),
+            ("rank-column-basis", s._det_column_basis, {"size": 4}),
+            ("solvability-trivial", s._det_solvability,
+             {"n_rows": 3, "n_cols": 4, "k": 2}),
+            ("solvability-fingerprint", s._rand_solvability,
+             {"n_rows": 3, "n_cols": 4, "k": 2}),
+            ("matmul-verify-deterministic", s._det_matmul, {"n": 2, "k": 2}),
+            ("matmul-verify-freivalds", s._rand_freivalds,
+             {"n": 2, "k": 2, "rounds": 2}),
         ]
-    axes: list[tuple[Callable[..., CostCase], dict]] = []
+    axes: list[tuple[str, Callable[..., Any], dict]] = []
     for n in (4, 16, 33):
-        axes.append((_case_equality_det, {"n": n}))
-        axes.append((_case_equality_rk, {"n": n}))
+        axes.append(("equality-deterministic", s._det_equality, {"n": n}))
+        axes.append(("equality-rabin-karp", s._rand_rabin_karp, {"n": n}))
     for rounds in (1, 8, 16):
-        axes.append((_case_equality_rand, {"n": 16, "rounds": rounds}))
+        axes.append(
+            ("equality-randomized", s._rand_equality, {"n": 16, "rounds": rounds})
+        )
     for size in (4, 6):
         for k in (1, 2, 3):
-            axes.append((_case_trivial, {"size": size, "k": k}))
-            axes.append((_case_fingerprint, {"size": size, "k": k}))
-        axes.append((_case_rank_basis, {"size": size}))
+            params = {"size": size, "k": k}
+            axes.append(("trivial-singularity", s._det_singularity, params))
+            axes.append(("fingerprint-singularity", s._rand_fingerprint, params))
+        axes.append(("rank-column-basis", s._det_column_basis, {"size": size}))
     for n_rows, n_cols, k in ((3, 4, 2), (4, 4, 1), (2, 6, 3)):
-        axes.append(
-            (_case_solvability_trivial, {"n_rows": n_rows, "n_cols": n_cols, "k": k})
-        )
-        axes.append(
-            (_case_solvability_fp, {"n_rows": n_rows, "n_cols": n_cols, "k": k})
-        )
+        params = {"n_rows": n_rows, "n_cols": n_cols, "k": k}
+        axes.append(("solvability-trivial", s._det_solvability, params))
+        axes.append(("solvability-fingerprint", s._rand_solvability, params))
     for n, k in ((2, 2), (3, 1), (3, 3)):
-        axes.append((_case_matmul_det, {"n": n, "k": k}))
+        axes.append(("matmul-verify-deterministic", s._det_matmul, {"n": n, "k": k}))
     for rounds in (1, 3):
-        axes.append((_case_freivalds, {"n": 3, "k": 2, "rounds": rounds}))
+        axes.append(
+            ("matmul-verify-freivalds", s._rand_freivalds,
+             {"n": 3, "k": 2, "rounds": rounds})
+        )
     return axes
 
 
@@ -373,101 +141,29 @@ def _stats_dict(stats) -> dict[str, int]:
     return out
 
 
-def _shape_prediction(shape: MessageShape) -> dict[str, int]:
-    return {
-        "total_bits": shape.total_bits,
-        "rounds": shape.rounds,
-        "bits_agent0": shape.bits_from(0),
-        "bits_agent1": shape.bits_from(1),
-    }
-
-
-def run_cell(case: CostCase, seed: int, config=None) -> SweepCell:
-    """Validate one case: clean-channel run plus clean-channel ARQ run,
-    every count compared to the symbolic model by integer equality."""
-    from repro.comm.agents import run_protocol, run_supervised
-    from repro.comm.channel import BitChannel
-    from repro.comm.transport import ArqConfig, reliable_pair
-
-    cfg = config or ArqConfig(frame_payload=SWEEP_FRAME_PAYLOAD)
-    shape = shape_of(case.protocol, case.input0)
-    predicted = _shape_prediction(shape)
-    mismatches: list[str] = []
-
-    # Leg 1: the bare channel.
-    coins = ReproducibleRNG(seed) if case.randomized else None
-    result = run_protocol(
-        case.protocol.agent0,
-        case.protocol.agent1,
-        case.input0,
-        case.input1,
-        public_randomness=coins,
+def run_cell(name: str, case, seed: int, config=None) -> SweepCell:
+    """Validate one case (a :class:`~repro.matrix.scenarios.MatrixCase`)
+    under the family name ``name``: the matrix's clean legs, formatted as
+    a schema-v1 cell."""
+    from repro.comm.transport import ArqConfig
+    from repro.matrix.scenarios import case_shape
+    from repro.matrix.sweep import (
+        MATRIX_FRAME_PAYLOAD,
+        clean_legs,
+        transcript_counts,
     )
-    transcript = result.transcript
-    measured = {
-        "total_bits": transcript.total_bits,
-        "rounds": transcript.rounds,
-        "bits_agent0": transcript.bits_from(0),
-        "bits_agent1": transcript.bits_from(1),
-    }
-    for key in predicted:
-        if measured[key] != predicted[key]:
-            mismatches.append(
-                f"clean {key}: measured {measured[key]} != "
-                f"predicted {predicted[key]}"
-            )
 
-    # Leg 2: the same instance through clean-channel ARQ.
-    coins = ReproducibleRNG(seed) if case.randomized else None
-    if coins is None:
-        inner0 = case.protocol.agent0(case.input0)
-        inner1 = case.protocol.agent1(case.input1)
-    else:
-        inner0 = case.protocol.agent0(case.input0, coins)
-        inner1 = case.protocol.agent1(case.input1, coins)
-    wrapped0, wrapped1, e0, e1 = reliable_pair(inner0, inner1, cfg)
-    report = run_supervised(
-        lambda _: wrapped0,
-        lambda _: wrapped1,
-        None,
-        None,
-        channel=BitChannel(),
-        max_steps=_MAX_STEPS,
+    cfg = config or ArqConfig(frame_payload=MATRIX_FRAME_PAYLOAD)
+    shape = case_shape(case)
+    predicted = transcript_counts(shape)
+    measured, live_stats, pred_stats, mismatches = clean_legs(
+        case, shape, seed, cfg
     )
-    if not report.ok:
-        mismatches.append(f"arq run not ok: outcome {report.outcome}")
-    elif report.agreed_output() != result.agreed_output():
-        mismatches.append(
-            "arq answer disagrees with the clean-channel answer"
-        )
-    pred_stats = shape.predicted_transport_stats(cfg)
-    live_stats = (e0.stats, e1.stats)
-    for agent in (0, 1):
-        live, pred = live_stats[agent], pred_stats[agent]
-        for name in sorted(live.__dataclass_fields__):
-            have, want = getattr(live, name), getattr(pred, name)
-            if have != want:
-                mismatches.append(
-                    f"arq endpoint {agent} {name}: measured {have} != "
-                    f"predicted {want}"
-                )
-        if live.wire_bits != live.accounted_bits:
-            mismatches.append(
-                f"arq endpoint {agent} buckets: wire {live.wire_bits} != "
-                f"accounted {live.accounted_bits}"
-            )
-        wire_seen = report.transcript.bits_from(agent)
-        if wire_seen != live.wire_bits:
-            mismatches.append(
-                f"arq endpoint {agent}: channel saw {wire_seen} bits, "
-                f"endpoint claims {live.wire_bits}"
-            )
-
     return SweepCell(
-        protocol=case.family,
+        protocol=name,
         params=dict(case.params),
         seed=seed,
-        measured=measured,
+        measured={key: measured[key] for key in predicted},
         predicted=predicted,
         arq={
             "config": {
@@ -491,14 +187,13 @@ def run_sweep(quick: bool = False, seed: int = 0) -> list[SweepCell]:
     ``seed`` and the cell coordinates, so a failing cell replays exactly.
     """
     cells: list[SweepCell] = []
-    for builder, params in sweep_axes(quick):
-        family = builder.__name__
+    for name, builder, params in sweep_axes(quick):
         instance_seed = derive_seed(
-            seed, "costs", family, *sorted(params.items())
+            seed, "costs", name, *sorted(params.items())
         )
         case = builder(instance_seed, **params)
         coin_seed = derive_seed(instance_seed, "coins")
-        cells.append(run_cell(case, coin_seed))
+        cells.append(run_cell(name, case, coin_seed))
     return cells
 
 

@@ -1,12 +1,17 @@
-"""The scenario matrix's cell catalogue: models × families, seeded.
+"""Every live protocol instance the repository runs, and the matrix catalogue.
 
-One *cell* of the matrix is a communication model, an instance family at
-fixed parameters, and a fault regime.  This module owns the first two
-axes: for every (model, family, params) point it builds one seeded
-:class:`MatrixCase` — a live protocol with concrete inputs, the ground
-truth the deterministic models must reproduce, and the bound formulas
-that apply at that point.  The third axis (fault regimes) and the
-execution machinery live in :mod:`repro.matrix.sweep`.
+This module is the one source of seeded protocol instances.  Each
+builder maps ``(seed, **params)`` to one :class:`MatrixCase` — a live
+protocol with concrete inputs, the ground truth the deterministic models
+must reproduce, and the bound formulas that apply at that point.  Three
+tables select builders from it:
+
+* :func:`catalogue` — the scenario matrix's (model, family, params) axes;
+  the third axis (fault regimes) and the execution machinery live in
+  :mod:`repro.matrix.sweep`;
+* :func:`repro.costs.validate.sweep_axes` — the costs gate's cells;
+* :data:`repro.comm.chaos.SCENARIOS` — the chaos sweep's and the
+  service's named scenarios.
 
 The four models and what "predicted" means in each:
 
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -49,7 +55,25 @@ from repro.costs.models import (
     theorem_lower_bound_bits,
     trivial_upper_bound_bits,
 )
+from repro.exact import is_singular
+from repro.exact.matrix import Matrix
+from repro.exact.solve import is_solvable
+from repro.exact.vector import Vector
 from repro.matrix.protocols import CertificateProtocol, OneWayTableProtocol
+from repro.protocols.equality import (
+    DeterministicEquality,
+    RabinKarpEquality,
+    RandomizedEquality,
+)
+from repro.protocols.fingerprint import FingerprintProtocol
+from repro.protocols.matmul_verify import DeterministicMatMulVerify, FreivaldsVerify
+from repro.protocols.rank_protocol import ColumnBasisProtocol
+from repro.protocols.solvability import (
+    FingerprintSolvability,
+    TrivialSolvability,
+    split_system,
+)
+from repro.protocols.trivial import TrivialProtocol
 from repro.util.rng import ReproducibleRNG
 
 __all__ = [
@@ -72,9 +96,13 @@ MODELS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class MatrixCase:
     """One concrete (model, family, params) instance, ready to execute.
+
+    Plain data, deliberately not frozen: a frozen dataclass pays about a
+    microsecond more per construction, and the chaos sweep and the
+    service build one case per run.
 
     Attributes:
         model: one of :data:`MODELS`.
@@ -83,8 +111,11 @@ class MatrixCase:
         protocol: the protocol object (``agent0``/``agent1`` generators).
         input0 / input1: the agents' local inputs.
         randomized: True when the agents take public coins.
-        expected: ground-truth answer the clean run must reproduce, or
-            None when correctness is probabilistic (randomized model).
+        truth: zero-argument callable returning the ground-truth answer
+            the clean run must reproduce, or None when correctness is
+            probabilistic (randomized model).  Lazy because the answer
+            can cost more than the instance (a determinant, a product):
+            only a clean matrix cell calls it.
         bounds: applicable bound formulas evaluated at this cell — lower
             and upper bounds for the live singularity axes, exact
             ``d_exact``/``one_way``/``cover`` quantities for the
@@ -98,7 +129,7 @@ class MatrixCase:
     input0: Any
     input1: Any
     randomized: bool = False
-    expected: Any = None
+    truth: Callable[[], Any] | None = None
     bounds: dict[str, int] = field(default_factory=dict)
 
 
@@ -129,8 +160,6 @@ def equality_truth_matrix(n_bits: int) -> TruthMatrix:
 
 def singularity_truth_matrix(size: int, k: int) -> TruthMatrix:
     """Singularity of ``size×size`` k-bit matrices under π₀, enumerated."""
-    from repro.exact import is_singular
-
     codec = MatrixBitCodec(size, size, k)
     return truth_matrix_from_matrix_predicate(
         is_singular, codec, pi_zero(codec)
@@ -185,16 +214,13 @@ def _singularity_bounds(size: int, k: int) -> dict[str, int]:
 
 
 def _pi_zero_instance(seed: int, size: int, k: int):
-    """A random π₀-split matrix: (codec, partition, view0, view1, truth)."""
-    from repro.exact import is_singular
-    from repro.exact.matrix import Matrix
-
+    """A random π₀-split matrix: (codec, partition, view0, view1, matrix)."""
     rng = ReproducibleRNG(seed)
     codec = MatrixBitCodec(size, size, k)
     partition = pi_zero(codec)
     m = Matrix.random_kbit(rng, size, size, k)
     view0, view1 = partition.split_input(codec.encode(m))
-    return codec, partition, view0, view1, bool(is_singular(m))
+    return codec, partition, view0, view1, m
 
 
 def _equality_strings(seed: int, n: int):
@@ -204,46 +230,68 @@ def _equality_strings(seed: int, n: int):
     return x, y
 
 
-# ----------------------------------------------------------------------
-# Case builders — deterministic model
-# ----------------------------------------------------------------------
-def _det_equality(seed: int, n: int) -> MatrixCase:
-    from repro.protocols.equality import DeterministicEquality
-
-    x, y = _equality_strings(seed, n)
-    return MatrixCase(
-        "deterministic", "equality", {"n_bits": n},
-        DeterministicEquality(n), x, y, expected=(x == y),
-    )
-
-
-def _det_singularity(seed: int, size: int, k: int) -> MatrixCase:
-    from repro.protocols.trivial import TrivialProtocol
-
-    codec, partition, view0, view1, truth = _pi_zero_instance(seed, size, k)
-    return MatrixCase(
-        "deterministic", "singularity-pi0", {"size": size, "k": k},
-        TrivialProtocol(codec, partition), view0, view1,
-        expected=truth, bounds=_singularity_bounds(size, k),
-    )
-
-
-def _det_matmul(seed: int, n: int, k: int) -> MatrixCase:
-    from repro.exact.matrix import Matrix
-    from repro.protocols.matmul_verify import DeterministicMatMulVerify
-
+def _matmul_instance(seed: int, n: int, k: int):
+    """Random ``a``, ``b`` and a claimed product ``c``, wrong half the time."""
     rng = ReproducibleRNG(seed)
     a = Matrix.random_kbit(rng, n, n, k)
     b = Matrix.random_kbit(rng, n, n, k)
     c = a @ b
-    if rng.randrange(2):  # half the instances are wrong products
+    if rng.randrange(2):
         rows = [list(c.row(i)) for i in range(n)]
         rows[rng.randrange(n)][rng.randrange(n)] += 1
         c = Matrix(rows)
+    return a, b, c
+
+
+def _solvability_instance(seed: int, n_rows: int, n_cols: int, k: int):
+    """A random system ``Ax = b`` with k-bit entries: (a, b)."""
+    rng = ReproducibleRNG(seed)
+    a = Matrix.random_kbit(rng, n_rows, n_cols, k)
+    b = Vector([rng.kbit_entry(k) for _ in range(n_rows)])
+    return a, b
+
+
+# ----------------------------------------------------------------------
+# Case builders — deterministic model
+# ----------------------------------------------------------------------
+def _det_equality(seed: int, n: int) -> MatrixCase:
+    x, y = _equality_strings(seed, n)
+    return MatrixCase(
+        "deterministic", "equality", {"n_bits": n},
+        DeterministicEquality(n), x, y, truth=lambda: x == y,
+    )
+
+
+def _det_singularity(seed: int, size: int, k: int) -> MatrixCase:
+    codec, partition, view0, view1, m = _pi_zero_instance(seed, size, k)
+    return MatrixCase(
+        "deterministic", "singularity-pi0", {"size": size, "k": k},
+        TrivialProtocol(codec, partition), view0, view1,
+        truth=partial(is_singular, m), bounds=_singularity_bounds(size, k),
+    )
+
+
+def _det_column_basis(seed: int, size: int) -> MatrixCase:
+    """Singularity of a 0/1 matrix split into column halves; agent 0 ships
+    a column-space basis (:class:`~repro.protocols.rank_protocol
+    .ColumnBasisProtocol`).  Not in :func:`catalogue`."""
+    rng = ReproducibleRNG(seed)
+    m = Matrix.random_kbit(rng, size, size, 1)
+    half = size // 2
+    return MatrixCase(
+        "deterministic", "singularity-column-basis", {"size": size},
+        ColumnBasisProtocol(),
+        m.slice(0, size, 0, half), m.slice(0, size, half, size),
+        truth=partial(is_singular, m), bounds=_singularity_bounds(size, 1),
+    )
+
+
+def _det_matmul(seed: int, n: int, k: int) -> MatrixCase:
+    a, b, c = _matmul_instance(seed, n, k)
     return MatrixCase(
         "deterministic", "matmul-verify", {"n": n, "k": k},
         DeterministicMatMulVerify(n, k), (a, b), c,
-        expected=(a @ b == c),
+        truth=lambda: a @ b == c,
         bounds={
             "lower": theorem_lower_bound_bits(n, k),
             "trivial_upper": trivial_upper_bound_bits(n, k),
@@ -252,20 +300,13 @@ def _det_matmul(seed: int, n: int, k: int) -> MatrixCase:
 
 
 def _det_solvability(seed: int, n_rows: int, n_cols: int, k: int) -> MatrixCase:
-    from repro.exact.matrix import Matrix
-    from repro.exact.solve import is_solvable
-    from repro.exact.vector import Vector
-    from repro.protocols.solvability import TrivialSolvability, split_system
-
-    rng = ReproducibleRNG(seed)
-    a = Matrix.random_kbit(rng, n_rows, n_cols, k)
-    b = Vector([rng.kbit_entry(k) for _ in range(n_rows)])
+    a, b = _solvability_instance(seed, n_rows, n_cols, k)
     left, right = split_system(a, b)
     return MatrixCase(
         "deterministic", "solvability",
         {"n_rows": n_rows, "n_cols": n_cols, "k": k},
         TrivialSolvability(n_rows, k), left, right,
-        expected=bool(is_solvable(a, b)),
+        truth=partial(is_solvable, a, b),
     )
 
 
@@ -273,8 +314,6 @@ def _det_solvability(seed: int, n_rows: int, n_cols: int, k: int) -> MatrixCase:
 # Case builders — randomized-Leighton model
 # ----------------------------------------------------------------------
 def _rand_equality(seed: int, n: int, rounds: int) -> MatrixCase:
-    from repro.protocols.equality import RandomizedEquality
-
     x, y = _equality_strings(seed, n)
     return MatrixCase(
         "randomized-leighton", "equality", {"n_bits": n, "rounds": rounds},
@@ -283,8 +322,6 @@ def _rand_equality(seed: int, n: int, rounds: int) -> MatrixCase:
 
 
 def _rand_fingerprint(seed: int, size: int, k: int) -> MatrixCase:
-    from repro.protocols.fingerprint import FingerprintProtocol
-
     codec, partition, view0, view1, _ = _pi_zero_instance(seed, size, k)
     return MatrixCase(
         "randomized-leighton", "singularity-pi0", {"size": size, "k": k},
@@ -294,8 +331,6 @@ def _rand_fingerprint(seed: int, size: int, k: int) -> MatrixCase:
 
 
 def _rand_rabin_karp(seed: int, n: int) -> MatrixCase:
-    from repro.protocols.equality import RabinKarpEquality
-
     x, y = _equality_strings(seed, n)
     return MatrixCase(
         "randomized-leighton", "equality-rabin-karp", {"n_bits": n},
@@ -304,21 +339,23 @@ def _rand_rabin_karp(seed: int, n: int) -> MatrixCase:
 
 
 def _rand_freivalds(seed: int, n: int, k: int, rounds: int) -> MatrixCase:
-    from repro.exact.matrix import Matrix
-    from repro.protocols.matmul_verify import FreivaldsVerify
-
-    rng = ReproducibleRNG(seed)
-    a = Matrix.random_kbit(rng, n, n, k)
-    b = Matrix.random_kbit(rng, n, n, k)
-    c = a @ b
-    if rng.randrange(2):
-        rows = [list(c.row(i)) for i in range(n)]
-        rows[rng.randrange(n)][rng.randrange(n)] += 1
-        c = Matrix(rows)
+    a, b, c = _matmul_instance(seed, n, k)
     return MatrixCase(
         "randomized-leighton", "matmul-verify",
         {"n": n, "k": k, "rounds": rounds},
         FreivaldsVerify(n, k, rounds), (a, b), c, randomized=True,
+    )
+
+
+def _rand_solvability(seed: int, n_rows: int, n_cols: int, k: int) -> MatrixCase:
+    """Solvability fingerprinted mod a public prime
+    (:class:`~repro.protocols.solvability.FingerprintSolvability`).  Not in
+    :func:`catalogue`."""
+    left, right = split_system(*_solvability_instance(seed, n_rows, n_cols, k))
+    return MatrixCase(
+        "randomized-leighton", "solvability",
+        {"n_rows": n_rows, "n_cols": n_cols, "k": k},
+        FingerprintSolvability(n_rows, k), left, right, randomized=True,
     )
 
 
@@ -339,7 +376,7 @@ def _one_way_case(
     return MatrixCase(
         "one-way", family, dict(params),
         protocol, row_index, col_index,
-        expected=bool(tm.data[row_index, col_index]),
+        truth=lambda: bool(tm.data[row_index, col_index]),
         bounds={
             "one_way": protocol.width,
             "d_exact": _exact_table_bounds(tm),
@@ -384,7 +421,7 @@ def _certificate_case(
     return MatrixCase(
         "nondeterministic", family, dict(params),
         protocol, (row_index, certificate), col_index,
-        expected=bool(tm.data[row_index, col_index] == value),
+        truth=lambda: bool(tm.data[row_index, col_index] == value),
         bounds={
             "cover": len(protocol.cover),
             "nondet": max(0, (len(protocol.cover) - 1).bit_length()),
@@ -444,28 +481,18 @@ def catalogue(
     return axes
 
 
-#: Which chaos scenario each live (model, family) point exercises — the
-#: bridge that makes the matrix the service load harness's workload mix.
-_CHAOS_SCENARIO: dict[tuple[str, str], str] = {
-    ("deterministic", "equality"): "equality",
-    ("deterministic", "singularity-pi0"): "trivial",
-    ("deterministic", "matmul-verify"): "matmul_verify",
-    ("deterministic", "solvability"): "solvability",
-    ("randomized-leighton", "singularity-pi0"): "fingerprint",
-}
-
-
 def canonical_scenarios() -> tuple[str, ...]:
-    """Chaos-scenario names covered by the quick matrix, sorted.
+    """Chaos-scenario names whose builder the quick matrix covers, sorted.
 
     ``repro.serve``'s load harness draws its ``protocol.run`` mix from
     this list, so the service is exercised on exactly the workload the
-    scenario matrix measures and gates.
+    scenario matrix measures and gates.  Read off the
+    :data:`repro.comm.chaos.SCENARIOS` table; nothing is built.
     """
-    names = set()
-    for builder, params in catalogue(quick=True):
-        probe = builder(0, **params)
-        scenario = _CHAOS_SCENARIO.get((probe.model, probe.family))
-        if scenario is not None:
-            names.add(scenario)
-    return tuple(sorted(names))
+    from repro.comm.chaos import SCENARIOS
+
+    quick = {builder.__name__ for builder, _ in catalogue(quick=True)}
+    return tuple(
+        sorted(name for name, scenario in SCENARIOS.items()
+               if scenario.builder in quick)
+    )

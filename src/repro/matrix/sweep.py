@@ -9,8 +9,11 @@ gold-standard-gated like the chaos harness and exact like the costs gate:
   .MessageShape` prediction by integer equality) and once more through
   clean-channel ARQ (each endpoint's live
   :class:`~repro.comm.transport.TransportStats` must equal
-  ``predicted_transport_stats`` field for field).  Deterministic models
-  must also reproduce the instance's ground truth.  Verdict: ``MATCH``
+  ``predicted_transport_stats`` field for field, its bit buckets must sum
+  to its wire bits, and the channel must have carried exactly the bits
+  it claims).  Deterministic models must also reproduce the instance's
+  ground truth.  :func:`clean_legs` is also the whole of the costs gate
+  (:func:`repro.costs.validate.run_cell`).  Verdict: ``MATCH``
   or ``MISMATCH`` — nothing in between.
 
 * **faulted regime** — the same instance, same coins, re-run several
@@ -40,24 +43,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.comm.chaos import ChaosCase, make_fault_model
+from repro.comm.channel import BitChannel
+from repro.comm.chaos import (
+    accounting_problems,
+    make_fault_model,
+    run_arq,
+    run_clean,
+)
 from repro.comm.chaos import run_case as run_chaos_case
-from repro.comm.transport import ArqConfig
+from repro.comm.transport import ArqConfig, TransportStats
 from repro.costs.models import arq_retry_ceiling_bits
 from repro.matrix.scenarios import MatrixCase, case_shape, catalogue
 from repro.trace import core as trace
 from repro.util.fmt import Table
 from repro.util.parallel import parmap
-from repro.util.rng import ReproducibleRNG, derive_seed
+from repro.util.rng import derive_seed
 
 __all__ = [
     "MATRIX_SCHEMA_VERSION",
     "FaultRegime",
+    "clean_legs",
     "regimes",
     "render_table",
     "run_cell",
     "run_sweep",
     "sweep_report",
+    "transcript_counts",
 ]
 
 #: Version of the ``sweep_report`` JSON layout (bump on any key change).
@@ -138,12 +149,19 @@ def _arq_config() -> ArqConfig:
     return ArqConfig(frame_payload=MATRIX_FRAME_PAYLOAD)
 
 
+def transcript_counts(record) -> dict[str, int]:
+    """Total bits, rounds and per-agent split of a transcript or a shape."""
+    return {
+        "total_bits": record.total_bits,
+        "rounds": record.rounds,
+        "bits_agent0": record.bits_from(0),
+        "bits_agent1": record.bits_from(1),
+    }
+
+
 def _predictions(shape, config: ArqConfig) -> dict[str, int]:
     return {
-        "total_bits": shape.total_bits,
-        "rounds": shape.rounds,
-        "bits_agent0": shape.bits_from(0),
-        "bits_agent1": shape.bits_from(1),
+        **transcript_counts(shape),
         "arq_wire_bits": shape.arq_wire_bits(config),
         "arq_ceiling_bits": arq_retry_ceiling_bits(shape, config),
     }
@@ -198,72 +216,45 @@ def _bound_mismatches(case: MatrixCase, predicted: dict[str, int]) -> list[str]:
     return problems
 
 
-def _clean_legs(case: MatrixCase, coin_seed: int, config: ArqConfig):
-    """Bare-channel run plus clean-channel ARQ run, both exactly audited.
+def clean_legs(
+    case: MatrixCase, shape, coin_seed: int, config: ArqConfig
+) -> tuple[
+    dict[str, Any],
+    tuple[TransportStats, TransportStats],
+    tuple[TransportStats, TransportStats],
+    list[str],
+]:
+    """Bare-channel run plus clean-channel ARQ run, both exactly audited
+    against ``shape`` (the case's :func:`case_shape`).
 
-    Returns ``(measured_clean, mismatches)`` — the integer measurements of
-    the bare run and every exact-comparison failure across both legs.
+    Returns ``(measured, live_stats, predicted_stats, mismatches)``: the
+    integer measurements of the bare run (plus its answer and the clean
+    ARQ wire total), each endpoint's live and predicted
+    :class:`~repro.comm.transport.TransportStats`, and every
+    exact-comparison failure across both legs.  Ground truth is not
+    checked here — that is the matrix cell's job (:func:`run_cell`).
     """
-    from repro.comm.agents import run_protocol, run_supervised
-    from repro.comm.channel import BitChannel
-    from repro.comm.transport import reliable_pair
-
-    shape = case_shape(case)
-    predicted = _predictions(shape, config)
     mismatches: list[str] = []
-
-    coins = ReproducibleRNG(coin_seed) if case.randomized else None
-    result = run_protocol(
-        case.protocol.agent0,
-        case.protocol.agent1,
-        case.input0,
-        case.input1,
-        public_randomness=coins,
-    )
-    transcript = result.transcript
+    result = run_clean(case, coin_seed)
     answer = result.agreed_output()
-    measured = {
-        "total_bits": transcript.total_bits,
-        "rounds": transcript.rounds,
-        "bits_agent0": transcript.bits_from(0),
-        "bits_agent1": transcript.bits_from(1),
-        "answer": bool(answer),
-    }
-    for key in ("total_bits", "rounds", "bits_agent0", "bits_agent1"):
+    measured = {**transcript_counts(result.transcript), "answer": bool(answer)}
+    predicted = transcript_counts(shape)
+    for key in predicted:
         if measured[key] != predicted[key]:
             mismatches.append(
                 f"clean {key}: measured {measured[key]} != "
                 f"predicted {predicted[key]}"
             )
-    if case.expected is not None and bool(answer) != bool(case.expected):
-        mismatches.append(
-            f"clean answer {bool(answer)} != ground truth "
-            f"{bool(case.expected)}"
-        )
 
-    coins = ReproducibleRNG(coin_seed) if case.randomized else None
-    if coins is None:
-        inner0 = case.protocol.agent0(case.input0)
-        inner1 = case.protocol.agent1(case.input1)
-    else:
-        inner0 = case.protocol.agent0(case.input0, coins)
-        inner1 = case.protocol.agent1(case.input1, coins)
-    wrapped0, wrapped1, e0, e1 = reliable_pair(inner0, inner1, config)
-    report = run_supervised(
-        lambda _: wrapped0,
-        lambda _: wrapped1,
-        None,
-        None,
-        channel=BitChannel(),
-        max_steps=_MAX_STEPS,
-    )
+    report, e0, e1 = run_arq(case, BitChannel(), coin_seed, config, _MAX_STEPS)
     if not report.ok:
         mismatches.append(f"clean arq run not ok: outcome {report.outcome}")
     elif report.agreed_output() != answer:
         mismatches.append("clean arq answer disagrees with the bare channel")
+    live_stats = (e0.stats, e1.stats)
     pred_stats = shape.predicted_transport_stats(config)
-    for agent, endpoint in ((0, e0), (1, e1)):
-        live, pred = endpoint.stats, pred_stats[agent]
+    for agent in (0, 1):
+        live, pred = live_stats[agent], pred_stats[agent]
         for name in sorted(live.__dataclass_fields__):
             have, want = getattr(live, name), getattr(pred, name)
             if have != want:
@@ -271,8 +262,9 @@ def _clean_legs(case: MatrixCase, coin_seed: int, config: ArqConfig):
                     f"clean arq endpoint {agent} {name}: measured {have} "
                     f"!= predicted {want}"
                 )
+    mismatches.extend(accounting_problems(report, (e0, e1)))
     measured["arq_wire_bits"] = e0.stats.wire_bits + e1.stats.wire_bits
-    return measured, mismatches
+    return measured, live_stats, pred_stats, mismatches
 
 
 def _faulted_leg(
@@ -289,9 +281,6 @@ def _faulted_leg(
     instance and coins (the gold answer is pinned) and varies only the
     fault randomness, so a violation replays from its coordinates.
     """
-    chaos_case = ChaosCase(
-        case.protocol, case.input0, case.input1, case.randomized
-    )
     rate = regime.rate_permille / 1000
     recovered = 0
     loud = 0
@@ -308,7 +297,7 @@ def _faulted_leg(
             seed=derive_seed(fault_seed_root, regime.name, run_index),
         )
         outcome = run_chaos_case(
-            chaos_case, model, coin_seed=coin_seed, config=config
+            case, model, coin_seed=coin_seed, config=config
         )
         faults += outcome.report.faults_injected
         retries += outcome.stats.retries
@@ -373,8 +362,14 @@ def run_cell(
     mismatches = _bound_mismatches(case, predicted)
 
     if regime.kind is None:
-        clean, clean_problems = _clean_legs(case, coin_seed, cfg)
+        clean, _, _, clean_problems = clean_legs(case, shape, coin_seed, cfg)
         mismatches.extend(clean_problems)
+        if case.truth is not None:
+            truth = bool(case.truth())
+            if clean["answer"] != truth:
+                mismatches.append(
+                    f"clean answer {clean['answer']} != ground truth {truth}"
+                )
         measured: dict[str, Any] = {"clean": clean, "faulted": None}
         verdict = "MATCH" if not mismatches else "MISMATCH"
     else:

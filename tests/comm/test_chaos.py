@@ -5,7 +5,6 @@ import pytest
 from repro.comm.chaos import (
     FAULT_KINDS,
     SCENARIOS,
-    ChaosCase,
     make_fault_model,
     run_case,
     sweep,
@@ -13,7 +12,12 @@ from repro.comm.chaos import (
 )
 from repro.comm.faults import NoFaults
 from repro.comm.transport import ArqConfig
+from repro.matrix.scenarios import MatrixCase
 from repro.util.rng import derive_seed
+
+
+def _no_dispatch(*args, **kwargs):
+    raise AssertionError("sweep dispatched tasks for invalid input")
 
 
 class TestScenarios:
@@ -39,8 +43,12 @@ class TestScenarios:
         assert (a.input0, a.input1) != (b.input0, b.input1)
 
     def test_case_is_plain_data(self):
-        case = ChaosCase(protocol=None, input0=1, input1=2)
+        case = MatrixCase("deterministic", "toy", {}, None, 1, 2)
         assert not case.randomized
+        assert case.truth is None and case.bounds == {}
+        built = SCENARIOS["equality"](0)
+        assert isinstance(built, MatrixCase)
+        assert built.params == {"n_bits": 16}
 
 
 class TestFaultModelFactory:
@@ -93,6 +101,21 @@ class TestSweep:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocols"):
             sweep(protocols=["nonsense"])
+
+    def test_unknown_kind_rejected_before_dispatch(self, monkeypatch):
+        monkeypatch.setattr("repro.comm.chaos.parmap", _no_dispatch)
+        with pytest.raises(ValueError, match="unknown fault kinds"):
+            sweep(kinds=("bogus",), rates=(0.0,), workers=2)
+
+    def test_negative_rate_rejected_before_dispatch(self, monkeypatch):
+        monkeypatch.setattr("repro.comm.chaos.parmap", _no_dispatch)
+        with pytest.raises(ValueError, match="fault rates must be >= 0"):
+            sweep(rates=(0.01, -0.5))
+
+    def test_zero_runs_rejected_before_dispatch(self, monkeypatch):
+        monkeypatch.setattr("repro.comm.chaos.parmap", _no_dispatch)
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            sweep(runs=0)
 
     def test_as_dict_shape(self):
         (point,) = sweep(

@@ -18,11 +18,11 @@ from repro.comm.channel import BitChannel
 from repro.comm.transport import ArqConfig, reliable_pair
 from repro.costs import arq_retry_ceiling_bits, fraction_matrix_bits, varint_bits
 from repro.costs.models import fraction_bits
-from repro.costs.validate import (
-    _case_equality_det,
-    _case_fingerprint,
-    _case_rank_basis,
-    _case_solvability_trivial,
+from repro.matrix.scenarios import (
+    _det_column_basis,
+    _det_equality,
+    _det_solvability,
+    _rand_fingerprint,
 )
 from repro.protocols.wire import (
     encode_fraction,
@@ -62,7 +62,7 @@ class TestPredictedTransportStats:
         payload=st.sampled_from([1, 3, 8, 64]),
     )
     def test_equality_stats_field_for_field(self, seed, n, payload):
-        case = _case_equality_det(seed, n)
+        case = _det_equality(seed, n)
         cfg = ArqConfig(frame_payload=payload)
         from repro.costs import shape_of
 
@@ -81,7 +81,7 @@ class TestPredictedTransportStats:
         # for the fingerprint, one more pair for the 1-bit verdict.
         from repro.costs import shape_of
 
-        case = _case_fingerprint(5, 4, 2)
+        case = _rand_fingerprint(5, 4, 2)
         cfg = ArqConfig(frame_payload=8)
         shape = shape_of(case.protocol, case.input0)
         report, e0, e1 = run_arq(case, cfg, coin_seed=5)
@@ -96,7 +96,7 @@ class TestPredictedTransportStats:
         # encoding) — the shape must track it exactly anyway.
         from repro.costs import shape_of
 
-        case = _case_rank_basis(9, 4)
+        case = _det_column_basis(9, 4)
         cfg = ArqConfig(frame_payload=16)
         shape = shape_of(case.protocol, case.input0)
         _, e0, e1 = run_arq(case, cfg)
@@ -105,7 +105,7 @@ class TestPredictedTransportStats:
     def test_solvability_header_plus_payload_single_send(self):
         from repro.costs import shape_of
 
-        case = _case_solvability_trivial(11, 3, 4, 2)
+        case = _det_solvability(11, 3, 4, 2)
         cfg = ArqConfig(frame_payload=8)
         shape = shape_of(case.protocol, case.input0)
         _, e0, e1 = run_arq(case, cfg)
@@ -114,7 +114,7 @@ class TestPredictedTransportStats:
     def test_clean_channel_has_no_recovery_traffic(self):
         from repro.costs import shape_of
 
-        case = _case_equality_det(3, 16)
+        case = _det_equality(3, 16)
         cfg = ArqConfig(frame_payload=4)
         shape = shape_of(case.protocol)
         _, e0, e1 = run_arq(case, cfg)
@@ -131,7 +131,7 @@ class TestRetryCeiling:
         # sit at or above the clean-channel wire count for any config.
         from repro.costs import shape_of
 
-        case = _case_fingerprint(5, 4, 2)
+        case = _rand_fingerprint(5, 4, 2)
         shape = shape_of(case.protocol, case.input0)
         for payload in (1, 8, 64):
             for retries in (0, 1, 5):
@@ -143,7 +143,7 @@ class TestRetryCeiling:
         # ceiling IS the clean-channel cost.
         from repro.costs import shape_of
 
-        case = _case_equality_det(3, 16)
+        case = _det_equality(3, 16)
         shape = shape_of(case.protocol)
         cfg = ArqConfig(frame_payload=8, max_retries=0)
         assert arq_retry_ceiling_bits(shape, cfg) == shape.arq_wire_bits(cfg)

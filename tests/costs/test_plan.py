@@ -65,7 +65,7 @@ def _atom_env(case) -> dict[str, int]:
 def _quick_cases():
     return [
         builder(1000 + i, **params)
-        for i, (builder, params) in enumerate(sweep_axes(quick=True))
+        for i, (_, builder, params) in enumerate(sweep_axes(quick=True))
     ]
 
 

@@ -1,6 +1,6 @@
 """The sweep itself as a regression gate, plus its frozen JSON schema.
 
-The quick sweep is the CI ``costs-gate``: it must come back with zero
+The quick sweep is the costs step of CI's ``matrix-gate``: it must come back with zero
 ``MISMATCH`` cells on every commit, and downstream consumers of the
 ``python -m repro costs`` JSON depend on the exact key layout, so the
 schema is pinned test-side (any key change must bump

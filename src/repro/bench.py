@@ -28,8 +28,7 @@ Runs fixed, seeded workloads several ways and writes ``BENCH_PERF.json``:
   warm run measures the *disk* store — results must be identical and the
   full-mode warm-up bar is 10x.
 
-The JSON also snapshots every :mod:`repro.obs` counter and timer the run
-touched (span-cache traffic, mod-p filter counts, cache hits, pruned
+The JSON also snapshots every :mod:`repro.obs` counter the run touched (span-cache traffic, mod-p filter counts, cache hits, pruned
 subrectangles), so a perf regression comes with its own diagnostics
 attached.
 """
@@ -329,7 +328,7 @@ def bench_sharded_truth(quick: bool, workers: int) -> dict[str, Any]:
                 fam, rows, columns, engine="fraction", block_size=block,
             )
             resumed_s = time.perf_counter() - t0
-            shard_stats = store.shard_stats()
+            shard_stats = store.stats()["shards"]
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     identical = bool(

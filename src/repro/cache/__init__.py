@@ -10,7 +10,9 @@ makes them do so:
   see :mod:`repro.cache.keys`;
 * **records** — versioned canonical JSON, atomically replaced, merged
   field-by-field (``d``, ``leaves``, ``tree``); see
-  :mod:`repro.cache.store`;
+  :mod:`repro.cache.store`, where records, shard manifests and cells are
+  each one ``Tier`` (directory + suffix + version + validator) sharing
+  read, write, verify and clear;
 * **shards** — truth-matrix column blocks spilled under ``shards/`` as a
   manifest plus raw ``.bin`` files addressed by
   ``blake2b(family/params/block-range)``, so an interrupted streamed build
@@ -20,8 +22,10 @@ makes them do so:
   addressed by :func:`repro.cache.keys.cell_key`, so a warm
   ``python -m repro matrix`` sweep replays without running a protocol;
 * **activation** — opt-in via :func:`configure` / the ``REPRO_CACHE_DIR``
-  environment variable; without either the library never touches disk;
-* **CLI** — ``python -m repro cache {stats,clear,verify}``;
+  environment variable (the :class:`repro.persist.Activation` rule
+  :mod:`repro.trace` shares); without either the library never touches
+  disk;
+* **CLI** — ``python -m repro cache {stats,verify,sweep-tmp,clear}``;
 * **observability** — ``cache.lookups`` / ``cache.hits`` / ``cache.misses``
   / ``cache.stores`` counters in :mod:`repro.obs`.
 
@@ -48,6 +52,7 @@ from repro.cache.store import (
     CacheStore,
     active_store,
     block_ranges,
+    cell_problems,
     configure,
     decode_record,
     directory,
@@ -76,6 +81,7 @@ __all__ = [
     "CacheStore",
     "active_store",
     "block_ranges",
+    "cell_problems",
     "configure",
     "decode_record",
     "directory",

@@ -16,9 +16,38 @@ key or a serialized record.
 from __future__ import annotations
 
 import hashlib
+import json
 
 #: Domain separator; bump only with the record schema in ``store.py``.
 KEY_PREFIX = b"repro-cache-v1"
+
+
+def _engine_digest(prefix: bytes, engine_version: str):
+    """A blake2b hasher primed with ``prefix NUL engine_version``.
+
+    The prologue every key shares; the engine tag must be non-empty and
+    NUL-free so the separator stays unambiguous.
+    """
+    if not engine_version or "\0" in engine_version:
+        raise ValueError("engine_version must be a non-empty NUL-free tag")
+    digest = hashlib.blake2b(digest_size=20)
+    digest.update(prefix)
+    digest.update(b"\0")
+    digest.update(engine_version.encode("ascii"))
+    return digest
+
+
+def _fields_key(prefix: bytes, engine_version: str, fields: dict,
+                encode) -> str:
+    """Hex digest of the engine prologue, then ``NUL name=encode(value)``
+    for every field under sorted names."""
+    digest = _engine_digest(prefix, engine_version)
+    for field in sorted(fields):
+        digest.update(b"\0")
+        digest.update(field.encode("ascii"))
+        digest.update(b"=")
+        digest.update(encode(fields[field]).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def canonical_matrix_bytes(data) -> bytes:
@@ -31,12 +60,7 @@ def canonical_matrix_bytes(data) -> bytes:
 
 def matrix_key(engine_version: str, shape, data_bytes: bytes) -> str:
     """Content address of one (engine, matrix) pair, as a hex digest."""
-    if not engine_version or "\0" in engine_version:
-        raise ValueError("engine_version must be a non-empty NUL-free tag")
-    digest = hashlib.blake2b(digest_size=20)
-    digest.update(KEY_PREFIX)
-    digest.update(b"\0")
-    digest.update(engine_version.encode("ascii"))
+    digest = _engine_digest(KEY_PREFIX, engine_version)
     digest.update(b"\0")
     digest.update(f"{int(shape[0])}x{int(shape[1])}".encode("ascii"))
     digest.update(b"\0")
@@ -59,18 +83,7 @@ def build_key(engine_version: str, params: dict) -> str:
     block grid.  Values are folded in under sorted keys, so dict insertion
     order can never leak into the address.
     """
-    if not engine_version or "\0" in engine_version:
-        raise ValueError("engine_version must be a non-empty NUL-free tag")
-    digest = hashlib.blake2b(digest_size=20)
-    digest.update(SHARD_PREFIX)
-    digest.update(b"\0")
-    digest.update(engine_version.encode("ascii"))
-    for field in sorted(params):
-        digest.update(b"\0")
-        digest.update(field.encode("ascii"))
-        digest.update(b"=")
-        digest.update(repr(params[field]).encode("utf-8"))
-    return digest.hexdigest()
+    return _fields_key(SHARD_PREFIX, engine_version, params, repr)
 
 
 #: Domain separator for scenario-matrix cell records (bump with the cell
@@ -87,24 +100,10 @@ def cell_key(engine_version: str, coords: dict) -> str:
     separators) under sorted field names, so neither dict insertion order
     nor ``repr`` quirks can leak into the address.
     """
-    if not engine_version or "\0" in engine_version:
-        raise ValueError("engine_version must be a non-empty NUL-free tag")
-    import json
-
-    digest = hashlib.blake2b(digest_size=20)
-    digest.update(CELL_PREFIX)
-    digest.update(b"\0")
-    digest.update(engine_version.encode("ascii"))
-    for field in sorted(coords):
-        digest.update(b"\0")
-        digest.update(field.encode("ascii"))
-        digest.update(b"=")
-        digest.update(
-            json.dumps(
-                coords[field], sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        )
-    return digest.hexdigest()
+    return _fields_key(
+        CELL_PREFIX, engine_version, coords,
+        lambda value: json.dumps(value, sort_keys=True, separators=(",", ":")),
+    )
 
 
 def shard_name(key: str, start: int, stop: int) -> str:

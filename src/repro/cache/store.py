@@ -1,12 +1,21 @@
-"""The on-disk store: versioned JSON records, atomically replaced.
+"""The on-disk store: versioned JSON documents in three tiers.
 
-Layout: ``<root>/objects/<key>.json``, one record per content address.
-Records are canonical JSON (sorted keys, compact separators) so that two
-processes writing the same result produce byte-identical files; writes go
-through a per-process temporary file and ``os.replace`` so readers never
-observe a torn record.  Records carry no timestamps and no machine
-identity — the cache is a pure function of its inputs, which is what lets
-CI runs, benchmark runs and local sweeps share it safely.
+Layout under one root:
+
+* ``objects/<key>.json`` — exact-search result records;
+* ``shards/<key>.manifest.json`` — sharded truth-matrix build manifests,
+  next to the raw ``<key>.<start>-<stop>.bin`` column blocks they
+  describe;
+* ``cells/<key>.json`` — finished scenario-matrix cell documents.
+
+Each JSON kind is one :class:`Tier`: a directory, a file suffix, a
+schema version and the kind's validator.  Documents are canonical JSON
+(sorted keys, compact separators) so that two processes writing the same
+result produce byte-identical files; every write goes through
+:func:`repro.persist.atomic_write`, so readers never observe a torn
+document.  Documents carry no timestamps and no machine identity — the
+cache is a pure function of its inputs, which is what lets CI runs,
+benchmark runs and local sweeps share it safely.
 
 ``merge`` is read-modify-replace: ``communication_complexity``,
 ``optimal_protocol_tree`` and ``partition_number`` each contribute their
@@ -14,21 +23,20 @@ field (``d`` / ``tree`` / ``leaves``) to the same record, so a warm record
 accumulates whichever results have ever been computed for that matrix.
 
 Activation is opt-in: explicitly via :func:`configure`, ambiently via the
-``REPRO_CACHE_DIR`` environment variable.  With neither, every lookup is a
-no-op and the library behaves exactly as if this package did not exist.
+``REPRO_CACHE_DIR`` environment variable (resolved by a
+:class:`repro.persist.Activation`).  With neither, every lookup is a no-op
+and the library behaves exactly as if this package did not exist.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
-from contextlib import contextmanager
+from collections import Counter
 from pathlib import Path
-from threading import Lock
 
 from repro import obs
-from repro.cache.keys import matrix_key, shard_name
+from repro.cache.keys import shard_name
+from repro.persist import Activation, atomic_write
 
 #: Record schema version; readers ignore records from other versions.
 RECORD_VERSION = 1
@@ -58,15 +66,27 @@ def encode_record(record: dict) -> str:
     return json.dumps(clean, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def decode_record(text: str) -> dict | None:
-    """Parse one record; None for malformed or foreign-version content."""
+def decode_record(text: str, version: int = RECORD_VERSION) -> dict | None:
+    """Parse one document; None for malformed or foreign-version content."""
     try:
         record = json.loads(text)
     except (ValueError, TypeError):
         return None
-    if not isinstance(record, dict) or record.get("v") != RECORD_VERSION:
+    if not isinstance(record, dict) or record.get("v") != version:
         return None
     return record
+
+
+def _canonical_problems(doc: dict, text: str | None, noun: str) -> list[str]:
+    """The canonical-bytes check shared by every validator."""
+    if text is not None and encode_record(doc) != text:
+        return [f"{noun} bytes are not in canonical JSON form"]
+    return []
+
+
+def _unknown_fields(doc: dict, known) -> list[str]:
+    unknown = [field for field in sorted(doc) if field not in known]
+    return [f"unknown fields: {', '.join(unknown)}"] if unknown else []
 
 
 def _valid_tree(serial) -> bool:
@@ -88,7 +108,11 @@ def _valid_tree(serial) -> bool:
 
 
 def record_problems(record: dict | None, text: str | None = None) -> list[str]:
-    """Schema violations of one parsed record (empty list when clean)."""
+    """Schema violations of one parsed record (empty list when clean).
+
+    With ``text`` (the bytes the record was parsed from) a clean record
+    must also be in canonical form.
+    """
     if record is None:
         return ["unparseable or foreign-version record"]
     problems = []
@@ -108,16 +132,8 @@ def record_problems(record: dict | None, text: str | None = None) -> list[str]:
             problems.append(f"{field} is not a non-negative int")
     if "tree" in record and not _valid_tree(record["tree"]):
         problems.append("tree fails the serialized-protocol shape check")
-    unknown = [
-        field
-        for field in sorted(record)
-        if field not in ("v", "engine", "shape") + RECORD_FIELDS
-    ]
-    if unknown:
-        problems.append(f"unknown fields: {', '.join(unknown)}")
-    if text is not None and not problems and encode_record(record) != text:
-        problems.append("record bytes are not in canonical JSON form")
-    return problems
+    problems += _unknown_fields(record, ("v", "engine", "shape") + RECORD_FIELDS)
+    return problems or _canonical_problems(record, text, "record")
 
 
 def shard_manifest_record(
@@ -138,8 +154,11 @@ def shard_manifest_record(
     }
 
 
-def shard_manifest_problems(manifest: dict | None) -> list[str]:
-    """Schema violations of one parsed shard manifest."""
+def shard_manifest_problems(
+    manifest: dict | None, text: str | None = None
+) -> list[str]:
+    """Schema violations of one parsed shard manifest (see
+    :func:`record_problems` for ``text``)."""
     if manifest is None:
         return ["unparseable or foreign-version manifest"]
     problems = []
@@ -148,14 +167,18 @@ def shard_manifest_problems(manifest: dict | None) -> list[str]:
             problems.append(f"{field} is not a positive int")
     if not isinstance(manifest.get("engine"), str) or not manifest["engine"]:
         problems.append("missing or empty engine tag")
-    unknown = [
-        field
-        for field in sorted(manifest)
-        if field not in ("v", "rows", "cols", "block", "engine")
-    ]
-    if unknown:
-        problems.append(f"unknown fields: {', '.join(unknown)}")
-    return problems
+    problems += _unknown_fields(manifest, ("v", "rows", "cols", "block", "engine"))
+    return problems or _canonical_problems(manifest, text, "manifest")
+
+
+def cell_problems(record: dict | None, text: str | None = None) -> list[str]:
+    """Schema violations of one parsed cell record (see
+    :func:`record_problems` for ``text``)."""
+    if record is None:
+        return ["unparseable or foreign-version cell record"]
+    if not isinstance(record.get("cell"), dict):
+        return ["record carries no cell dict"]
+    return _canonical_problems(record, text, "cell")
 
 
 def block_ranges(cols: int, block: int) -> list[tuple[int, int]]:
@@ -163,6 +186,108 @@ def block_ranges(cols: int, block: int) -> list[tuple[int, int]]:
     if cols < 0 or block < 1:
         raise ValueError(f"bad block grid: cols={cols}, block={block}")
     return [(start, min(start + block, cols)) for start in range(0, cols, block)]
+
+
+def _listing(directory: Path, pattern: str) -> list[Path]:
+    """Sorted matches of ``pattern`` in ``directory`` (empty if unreadable)."""
+    try:
+        return sorted(directory.glob(pattern))
+    except OSError:
+        return []
+
+
+def _unlink_all(paths) -> int:
+    """Delete ``paths``; returns how many were actually removed."""
+    removed = 0
+    for path in paths:
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            continue
+    return removed
+
+
+class Tier:
+    """One directory of versioned canonical-JSON documents of one kind.
+
+    ``check(doc, text=None)`` is the kind's validator (:func:`record_problems`,
+    :func:`shard_manifest_problems`, :func:`cell_problems`): it receives the
+    parsed document — None when the bytes are malformed or of a foreign
+    version — and returns its problems.  Every :meth:`read` and
+    :meth:`write` goes through it, so a document that fails the check is a
+    miss on the way in and an error on the way out.
+    """
+
+    def __init__(self, directory: Path, suffix: str, version: int, check,
+                 noun: str):
+        self.dir = directory
+        self.suffix = suffix
+        self.version = version
+        self.check = check
+        self.noun = noun
+        directory.mkdir(parents=True, exist_ok=True)
+
+    def path(self, key: str) -> Path:
+        """Where the document addressed by ``key`` lives."""
+        return self.dir / f"{key}{self.suffix}"
+
+    def paths(self) -> list[Path]:
+        """Every document file of this tier, sorted."""
+        return _listing(self.dir, f"*{self.suffix}")
+
+    def read(self, key: str) -> dict | None:
+        """The document at ``key`` if it passes the check, else None."""
+        try:
+            text = self.path(key).read_text()
+        except OSError:
+            return None
+        doc = decode_record(text, self.version)
+        return None if self.check(doc) else doc
+
+    def write(self, key: str, doc: dict) -> None:
+        """Validate ``doc`` and commit it as canonical JSON (atomic)."""
+        problems = self.check(doc if doc.get("v") == self.version else None)
+        if problems:
+            raise ValueError(f"bad {self.noun}: {'; '.join(problems)}")
+        atomic_write(self.path(key), encode_record(doc).encode())
+
+    def census(self) -> tuple[int, int, list[dict]]:
+        """``(files, bytes, parsed documents)`` over every readable file.
+
+        A census of what is on disk, so documents are parsed but not
+        checked; those that fail to parse count as files but are not
+        returned."""
+        entries = total_bytes = 0
+        docs = []
+        for path in self.paths():
+            try:
+                text = path.read_text()
+            except OSError:
+                continue
+            entries += 1
+            total_bytes += len(text.encode())
+            doc = decode_record(text, self.version)
+            if doc is not None:
+                docs.append(doc)
+        return entries, total_bytes, docs
+
+    def verify(self) -> list[str]:
+        """``"<file>: <problem>"`` for every problem in this tier."""
+        problems = []
+        for path in self.paths():
+            try:
+                text = path.read_text()
+            except OSError as exc:
+                problems.append(f"{path.name}: unreadable ({exc})")
+                continue
+            doc = decode_record(text, self.version)
+            problems += [f"{path.name}: {p}" for p in self.check(doc, text)]
+        return problems
+
+    def clear(self) -> int:
+        """Delete every document of this tier; returns files removed."""
+        return _unlink_all(self.paths())
 
 
 class CacheStore:
@@ -178,109 +303,61 @@ class CacheStore:
     def __init__(self, root):
         self.root = Path(root)
         self.objects = self.root / "objects"
-        self.objects.mkdir(parents=True, exist_ok=True)
         self.shards = self.root / "shards"
-        self.shards.mkdir(parents=True, exist_ok=True)
         self.cells = self.root / "cells"
-        self.cells.mkdir(parents=True, exist_ok=True)
+        self._records = Tier(
+            self.objects, ".json", RECORD_VERSION, record_problems, "record"
+        )
+        self._manifests = Tier(
+            self.shards, ".manifest.json", SHARD_MANIFEST_VERSION,
+            shard_manifest_problems, "shard manifest",
+        )
+        self._cells = Tier(
+            self.cells, ".json", CELL_RECORD_VERSION, cell_problems,
+            "cell record",
+        )
+        self._tiers = (self._records, self._manifests, self._cells)
 
-    def _path(self, key: str) -> Path:
-        return self.objects / f"{key}.json"
-
-    # -- lookups --------------------------------------------------------
+    # -- records --------------------------------------------------------
     def get(self, key: str) -> dict | None:
         """The record at ``key``, or None (counts hits/misses in obs)."""
         obs.counter("cache.lookups").inc()
-        try:
-            text = self._path(key).read_text()
-        except OSError:
-            obs.counter("cache.misses").inc()
-            return None
-        record = decode_record(text)
-        if record is None:
-            obs.counter("cache.misses").inc()
-            return None
-        obs.counter("cache.hits").inc()
+        record = self._records.read(key)
+        obs.counter("cache.misses" if record is None else "cache.hits").inc()
         return record
 
-    def get_matrix(self, engine_version: str, shape, data_bytes: bytes):
-        """Convenience: :func:`repro.cache.keys.matrix_key` then ``get``."""
-        return self.get(matrix_key(engine_version, shape, data_bytes))
-
-    # -- writes ---------------------------------------------------------
     def merge(self, key: str, fields: dict, engine: str, shape) -> dict:
         """Fold ``fields`` into the record at ``key`` (atomic replace).
 
         Unknown fields are rejected loudly — the record schema is the
         compatibility contract between processes.
         """
-        for field in sorted(fields):
-            if field not in RECORD_FIELDS:
-                raise ValueError(f"unknown record field {field!r}")
-        path = self._path(key)
-        try:
-            existing = decode_record(path.read_text())
-        except OSError:
-            existing = None
+        existing = self._records.read(key)
         record = {
             "v": RECORD_VERSION,
             "engine": str(engine),
             "shape": [int(shape[0]), int(shape[1])],
         }
-        if existing is not None and existing.get("engine") == record["engine"]:
+        if existing is not None and existing["engine"] == record["engine"]:
             for field in RECORD_FIELDS:
                 if field in existing:
                     record[field] = existing[field]
         record.update(fields)
-        # pid + thread id make the scratch name unique across processes AND
-        # threads; neither ever reaches the persisted bytes.
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        tmp.write_text(encode_record(record))
-        os.replace(tmp, path)
+        self._records.write(key, record)
         obs.counter("cache.stores").inc()
         return record
 
     # -- truth-matrix shards --------------------------------------------
-    def _manifest_path(self, key: str) -> Path:
-        return self.shards / f"{key}.manifest.json"
-
     def _shard_path(self, key: str, start: int, stop: int) -> Path:
         return self.shards / f"{shard_name(key, start, stop)}.bin"
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-
     def get_shard_manifest(self, key: str) -> dict | None:
-        """The manifest of build ``key``, or None."""
-        try:
-            text = self._manifest_path(key).read_text()
-        except OSError:
-            return None
-        try:
-            manifest = json.loads(text)
-        except (ValueError, TypeError):
-            return None
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("v") != SHARD_MANIFEST_VERSION
-        ):
-            return None
-        return manifest
+        """The manifest of build ``key``, or None (missing or invalid)."""
+        return self._manifests.read(key)
 
     def put_shard_manifest(self, key: str, manifest: dict) -> dict:
         """Commit the build manifest (canonical JSON, atomic replace)."""
-        problems = shard_manifest_problems(manifest)
-        if problems:
-            raise ValueError(f"bad shard manifest: {'; '.join(problems)}")
-        self._atomic_write(
-            self._manifest_path(key), encode_record(manifest).encode()
-        )
+        self._manifests.write(key, manifest)
         return manifest
 
     def get_shard(self, key: str, start: int, stop: int) -> bytes | None:
@@ -302,27 +379,20 @@ class CacheStore:
         """
         manifest = self.get_shard_manifest(key)
         if manifest is None:
-            raise ValueError(f"no manifest for build {key}; commit one first")
+            raise ValueError(
+                f"no valid manifest for build {key}; commit one first"
+            )
         expected = manifest["rows"] * (int(stop) - int(start))
         if len(data) != expected:
             raise ValueError(
                 f"shard [{start}, {stop}) carries {len(data)} bytes; "
                 f"manifest demands {expected}"
             )
-        self._atomic_write(self._shard_path(key, start, stop), data)
+        atomic_write(self._shard_path(key, start, stop), data)
         obs.counter("cache.shard.stores").inc()
 
-    def _shard_bin_paths(self) -> list[Path]:
-        try:
-            return sorted(self.shards.glob("*.bin"))
-        except OSError:
-            return []
-
-    def _manifest_paths(self) -> list[Path]:
-        try:
-            return sorted(self.shards.glob("*.manifest.json"))
-        except OSError:
-            return []
+    def _shard_bins(self) -> list[Path]:
+        return _listing(self.shards, "*.bin")
 
     @staticmethod
     def _parse_shard_name(path: Path) -> tuple[str, int, int] | None:
@@ -341,15 +411,17 @@ class CacheStore:
         return key, start, stop
 
     def shard_builds(self) -> dict[str, dict]:
-        """Every build with a manifest: key -> manifest + completeness.
+        """Every build with a manifest file: key -> manifest + completeness.
 
         A build is *complete* when every grid block's shard is present;
         otherwise it is a resumable partial (``missing`` counts the holes).
+        A manifest that fails its check is listed with ``manifest`` and
+        ``missing`` both None, and counts as partial.
         """
         builds: dict[str, dict] = {}
-        for path in self._manifest_paths():
+        for path in self._manifests.paths():
             key = path.name[: -len(".manifest.json")]
-            manifest = self.get_shard_manifest(key)
+            manifest = self._manifests.read(key)
             if manifest is None:
                 builds[key] = {"manifest": None, "missing": None}
                 continue
@@ -365,103 +437,7 @@ class CacheStore:
             }
         return builds
 
-    def shard_stats(self) -> dict:
-        """Shard-side counts: builds, partials, shard files/bytes, orphans."""
-        builds = self.shard_builds()
-        shard_files = 0
-        shard_bytes = 0
-        orphaned = 0
-        for path in self._shard_bin_paths():
-            parsed = self._parse_shard_name(path)
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            shard_files += 1
-            shard_bytes += size
-            if parsed is None or parsed[0] not in builds:
-                orphaned += 1
-        partial = sum(
-            1
-            for info in builds.values()
-            if info["missing"] is None or info["missing"] > 0
-        )
-        return {
-            "builds": len(builds),
-            "complete_builds": len(builds) - partial,
-            "partial_builds": partial,
-            "shards": shard_files,
-            "bytes": shard_bytes,
-            "orphaned_shards": orphaned,
-        }
-
-    def verify_shards(self) -> list[str]:
-        """Problems across every manifest and shard (empty means clean)."""
-        problems = []
-        builds: dict[str, dict] = {}
-        for path in self._manifest_paths():
-            key = path.name[: -len(".manifest.json")]
-            manifest = self.get_shard_manifest(key)
-            for problem in shard_manifest_problems(manifest):
-                problems.append(f"{path.name}: {problem}")
-            if manifest is not None and not shard_manifest_problems(manifest):
-                builds[key] = manifest
-        for path in self._shard_bin_paths():
-            parsed = self._parse_shard_name(path)
-            if parsed is None:
-                problems.append(f"{path.name}: unparseable shard name")
-                continue
-            key, start, stop = parsed
-            manifest = builds.get(key)
-            if manifest is None:
-                problems.append(
-                    f"{path.name}: orphaned shard (no valid manifest for "
-                    "its build; run `repro cache clear`)"
-                )
-                continue
-            if (start, stop) not in set(
-                block_ranges(manifest["cols"], manifest["block"])
-            ):
-                problems.append(
-                    f"{path.name}: range off the manifest's block grid"
-                )
-                continue
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
-                problems.append(f"{path.name}: unreadable ({exc})")
-                continue
-            expected = manifest["rows"] * (stop - start)
-            if len(data) != expected:
-                problems.append(
-                    f"{path.name}: {len(data)} bytes, manifest demands "
-                    f"{expected}"
-                )
-            elif any(byte > 1 for byte in data):
-                problems.append(f"{path.name}: non-0/1 truth-matrix bytes")
-        return problems
-
-    def clear_shards(self) -> int:
-        """Delete every shard and manifest; returns files removed."""
-        removed = 0
-        for path in self._shard_bin_paths() + self._manifest_paths():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        return removed
-
     # -- scenario-matrix cells ------------------------------------------
-    def _cell_path(self, key: str) -> Path:
-        return self.cells / f"{key}.json"
-
-    def _cell_paths(self) -> list[Path]:
-        try:
-            return sorted(self.cells.glob("*.json"))
-        except OSError:
-            return []
-
     def get_cell(self, key: str) -> dict | None:
         """The cell document at ``key``, or None (obs-counted).
 
@@ -470,21 +446,8 @@ class CacheStore:
         report JSON.
         """
         obs.counter("cache.cell.lookups").inc()
-        try:
-            text = self._cell_path(key).read_text()
-        except OSError:
-            obs.counter("cache.cell.misses").inc()
-            return None
-        try:
-            record = json.loads(text)
-        except (ValueError, TypeError):
-            obs.counter("cache.cell.misses").inc()
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("v") != CELL_RECORD_VERSION
-            or not isinstance(record.get("cell"), dict)
-        ):
+        record = self._cells.read(key)
+        if record is None:
             obs.counter("cache.cell.misses").inc()
             return None
         obs.counter("cache.cell.hits").inc()
@@ -497,121 +460,62 @@ class CacheStore:
         content: no timestamps, no machine identity, sorted keys all the
         way down.
         """
-        if not isinstance(cell, dict):
-            raise ValueError("a cell document must be a dict")
-        record = {"v": CELL_RECORD_VERSION, "cell": cell}
-        self._atomic_write(
-            self._cell_path(key), encode_record(record).encode()
-        )
+        self._cells.write(key, {"v": CELL_RECORD_VERSION, "cell": cell})
         obs.counter("cache.cell.stores").inc()
 
-    def cell_stats(self) -> dict:
-        """Cell-side counts: documents, bytes, per-verdict tally."""
-        entries = 0
-        total_bytes = 0
-        verdicts: dict[str, int] = {}
-        for path in self._cell_paths():
-            try:
-                text = path.read_text()
-            except OSError:
-                continue
-            entries += 1
-            total_bytes += len(text.encode())
-            try:
-                record = json.loads(text)
-            except (ValueError, TypeError):
-                continue
-            if (
-                isinstance(record, dict)
-                and record.get("v") == CELL_RECORD_VERSION
-                and isinstance(record.get("cell"), dict)
-            ):
-                verdict = record["cell"].get("verdict")
-                if isinstance(verdict, str):
-                    verdicts[verdict] = verdicts.get(verdict, 0) + 1
-        return {
-            "entries": entries,
-            "bytes": total_bytes,
-            "verdicts": {name: verdicts[name] for name in sorted(verdicts)},
-        }
-
-    def verify_cells(self) -> list[str]:
-        """Problems across every cell document (empty means clean)."""
-        problems = []
-        for path in self._cell_paths():
-            try:
-                text = path.read_text()
-            except OSError as exc:
-                problems.append(f"{path.name}: unreadable ({exc})")
-                continue
-            try:
-                record = json.loads(text)
-            except (ValueError, TypeError):
-                problems.append(f"{path.name}: unparseable cell record")
-                continue
-            if (
-                not isinstance(record, dict)
-                or record.get("v") != CELL_RECORD_VERSION
-            ):
-                problems.append(f"{path.name}: foreign cell record version")
-                continue
-            if not isinstance(record.get("cell"), dict):
-                problems.append(f"{path.name}: record carries no cell dict")
-                continue
-            if encode_record(record) != text:
-                problems.append(
-                    f"{path.name}: cell bytes are not canonical JSON"
-                )
-        return problems
-
-    def clear_cells(self) -> int:
-        """Delete every cell document; returns files removed."""
-        removed = 0
-        for path in self._cell_paths():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        return removed
-
     # -- maintenance ----------------------------------------------------
-    def _record_paths(self) -> list[Path]:
-        try:
-            return sorted(self.objects.glob("*.json"))
-        except OSError:
-            return []
-
     def stats(self) -> dict:
-        """Entry count, byte total and per-field coverage, JSON-ready."""
-        entries = 0
-        total_bytes = 0
-        fields = {field: 0 for field in RECORD_FIELDS}
-        engines: dict[str, int] = {}
-        for path in self._record_paths():
+        """Per-tier counts (records, shards, cells, tmp), JSON-ready."""
+        entries, total_bytes, records = self._records.census()
+        fields = {
+            field: sum(1 for record in records if field in record)
+            for field in RECORD_FIELDS
+        }
+        engines = Counter(
+            record["engine"]
+            for record in records
+            if isinstance(record.get("engine"), str)
+        )
+
+        builds = self.shard_builds()
+        partial = sum(1 for info in builds.values() if info["missing"] != 0)
+        shard_files = shard_bytes = orphaned = 0
+        for path in self._shard_bins():
             try:
-                text = path.read_text()
+                shard_bytes += path.stat().st_size
             except OSError:
                 continue
-            entries += 1
-            total_bytes += len(text.encode())
-            record = decode_record(text)
-            if record is None:
-                continue
-            for field in RECORD_FIELDS:
-                if field in record:
-                    fields[field] += 1
-            engine = record.get("engine")
-            if isinstance(engine, str):
-                engines[engine] = engines.get(engine, 0) + 1
+            shard_files += 1
+            parsed = self._parse_shard_name(path)
+            if parsed is None or parsed[0] not in builds:
+                orphaned += 1
+
+        cell_entries, cell_bytes, cells = self._cells.census()
+        verdicts = Counter(
+            record["cell"]["verdict"]
+            for record in cells
+            if isinstance(record.get("cell"), dict)
+            and isinstance(record["cell"].get("verdict"), str)
+        )
         return {
             "dir": str(self.root),
             "entries": entries,
             "bytes": total_bytes,
             "fields": fields,
-            "engines": {name: engines[name] for name in sorted(engines)},
-            "shards": self.shard_stats(),
-            "cells": self.cell_stats(),
+            "engines": dict(sorted(engines.items())),
+            "shards": {
+                "builds": len(builds),
+                "complete_builds": len(builds) - partial,
+                "partial_builds": partial,
+                "shards": shard_files,
+                "bytes": shard_bytes,
+                "orphaned_shards": orphaned,
+            },
+            "cells": {
+                "entries": cell_entries,
+                "bytes": cell_bytes,
+                "verdicts": dict(sorted(verdicts.items())),
+            },
             "tmp": {
                 "files": len(self._tmp_paths()),
                 "orphaned": len(self.orphaned_tmp()),
@@ -619,13 +523,9 @@ class CacheStore:
         }
 
     def _tmp_paths(self) -> list[Path]:
-        paths = []
-        for directory in (self.objects, self.shards, self.cells):
-            try:
-                paths.extend(directory.glob("*.tmp"))
-            except OSError:
-                continue
-        return sorted(paths)
+        return sorted(
+            path for tier in self._tiers for path in _listing(tier.dir, "*.tmp")
+        )
 
     @staticmethod
     def _tmp_target(path: Path) -> str | None:
@@ -661,7 +561,7 @@ class CacheStore:
                     if parsed is not None:
                         try:
                             manifest_mtime = (
-                                self._manifest_path(parsed[0])
+                                self._manifests.path(parsed[0])
                                 .stat()
                                 .st_mtime_ns
                             )
@@ -681,28 +581,55 @@ class CacheStore:
         manifest) are left alone — see :meth:`orphaned_tmp` for the
         detection rule and its documented residual race.
         """
-        removed = 0
-        for path in self.orphaned_tmp():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        return removed
+        return _unlink_all(self.orphaned_tmp())
 
     def verify(self) -> list[str]:
-        """Problems across every record (empty means the store is clean)."""
-        problems = []
-        for path in self._record_paths():
+        """Problems across every tier (empty means the store is clean).
+
+        Beyond each tier's own check, every shard ``.bin`` must belong to a
+        valid manifest, sit on its block grid, carry ``rows x width`` bytes
+        and hold only 0/1 values.
+        """
+        problems = self._records.verify() + self._manifests.verify()
+        builds = {
+            key: info["manifest"]
+            for key, info in self.shard_builds().items()
+            if info["manifest"] is not None
+        }
+        for path in self._shard_bins():
+            parsed = self._parse_shard_name(path)
+            if parsed is None:
+                problems.append(f"{path.name}: unparseable shard name")
+                continue
+            key, start, stop = parsed
+            manifest = builds.get(key)
+            if manifest is None:
+                problems.append(
+                    f"{path.name}: orphaned shard (no valid manifest for "
+                    "its build; run `repro cache clear`)"
+                )
+                continue
+            if (start, stop) not in set(
+                block_ranges(manifest["cols"], manifest["block"])
+            ):
+                problems.append(
+                    f"{path.name}: range off the manifest's block grid"
+                )
+                continue
             try:
-                text = path.read_text()
+                data = path.read_bytes()
             except OSError as exc:
                 problems.append(f"{path.name}: unreadable ({exc})")
                 continue
-            for problem in record_problems(decode_record(text), text):
-                problems.append(f"{path.name}: {problem}")
-        problems.extend(self.verify_shards())
-        problems.extend(self.verify_cells())
+            expected = manifest["rows"] * (stop - start)
+            if len(data) != expected:
+                problems.append(
+                    f"{path.name}: {len(data)} bytes, manifest demands "
+                    f"{expected}"
+                )
+            elif any(byte > 1 for byte in data):
+                problems.append(f"{path.name}: non-0/1 truth-matrix bytes")
+        problems += self._cells.verify()
         for path in self.orphaned_tmp():
             problems.append(
                 f"{path.name}: orphaned tmp scratch file (writer died "
@@ -712,23 +639,13 @@ class CacheStore:
 
     def clear(self) -> int:
         """Delete every record, shard, cell and scratch file; returns
-        records removed (shard/cell files are counted separately by the
-        CLI).  Unlike :meth:`sweep_tmp`, tmp files go unconditionally —
-        clearing invalidates any in-flight build anyway."""
-        removed = 0
-        for path in self._record_paths():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        self.clear_shards()
-        self.clear_cells()
-        for path in self._tmp_paths():
-            try:
-                path.unlink()
-            except OSError:
-                continue
+        records removed (the CLI reports shard files from :meth:`stats`).
+        Unlike :meth:`sweep_tmp`, tmp files go unconditionally — clearing
+        invalidates any in-flight build anyway."""
+        removed = self._records.clear()
+        self._manifests.clear()
+        self._cells.clear()
+        _unlink_all(self._shard_bins() + self._tmp_paths())
         return removed
 
 
@@ -736,29 +653,22 @@ class CacheStore:
 # Active-store resolution: explicit configure() beats the environment.
 # ---------------------------------------------------------------------------
 
-_LOCK = Lock()
-_CONFIGURED: CacheStore | None = None
-_CONFIGURED_SET = False
-_ENV_STORES: dict[str, CacheStore] = {}
+_STORES = Activation(ENV_VAR, CacheStore)
+
+
+def _store_at(path) -> CacheStore | None:
+    return CacheStore(path) if path is not None else None
 
 
 def configure(path) -> CacheStore | None:
     """Pin the process-wide store to ``path`` (None disables the cache even
     when ``REPRO_CACHE_DIR`` is set).  Returns the active store."""
-    global _CONFIGURED, _CONFIGURED_SET
-    store = CacheStore(path) if path is not None else None
-    with _LOCK:
-        _CONFIGURED = store
-        _CONFIGURED_SET = True
-    return store
+    return _STORES.configure(_store_at(path))
 
 
 def unconfigure() -> None:
     """Drop any explicit configuration; the environment rules again."""
-    global _CONFIGURED, _CONFIGURED_SET
-    with _LOCK:
-        _CONFIGURED = None
-        _CONFIGURED_SET = False
+    _STORES.unconfigure()
 
 
 def active_store() -> CacheStore | None:
@@ -767,49 +677,17 @@ def active_store() -> CacheStore | None:
     Explicit :func:`configure` wins; otherwise a non-empty
     ``REPRO_CACHE_DIR`` activates (and memoizes) a store at that path.
     """
-    with _LOCK:
-        if _CONFIGURED_SET:
-            return _CONFIGURED
-    env = os.environ.get(ENV_VAR)
-    if env is None or not env.strip():
-        return None
-    path = env.strip()
-    with _LOCK:
-        store = _ENV_STORES.get(path)
-    if store is None:
-        store = CacheStore(path)
-        with _LOCK:
-            store = _ENV_STORES.setdefault(path, store)
-    return store
+    return _STORES.active()
 
 
-@contextmanager
 def directory(path):
-    """Scoped :func:`configure`: activate ``path``, restore the previous
-    resolution state afterwards."""
-    with _LOCK:
-        saved = (_CONFIGURED, _CONFIGURED_SET)
-    configure(path)
-    try:
-        yield active_store()
-    finally:
-        _restore(saved)
+    """Scoped :func:`configure`: a context manager that activates ``path``,
+    yields the store, and restores the previous resolution state
+    afterwards."""
+    return _STORES.scoped(_store_at(path))
 
 
-@contextmanager
 def disabled():
     """Scoped off-switch: no persistent cache inside the block (used by the
     bench harness so engine timings never read a warm user cache)."""
-    with _LOCK:
-        saved = (_CONFIGURED, _CONFIGURED_SET)
-    configure(None)
-    try:
-        yield
-    finally:
-        _restore(saved)
-
-
-def _restore(saved) -> None:
-    global _CONFIGURED, _CONFIGURED_SET
-    with _LOCK:
-        _CONFIGURED, _CONFIGURED_SET = saved
+    return _STORES.scoped(None)

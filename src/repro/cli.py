@@ -379,15 +379,13 @@ def _cmd_cache(args) -> int:
         else:
             print(f"swept {swept} orphaned tmp file(s) from {store.root}")
         return 0
-    shard_stats = store.shard_stats()
+    shards = store.stats()["shards"]["shards"]
     removed = store.clear()
     if args.format == "json":
-        print(json.dumps(
-            {"removed": removed, "shards_removed": shard_stats["shards"]}
-        ))
+        print(json.dumps({"removed": removed, "shards_removed": shards}))
     else:
         print(
-            f"removed {removed} record(s) and {shard_stats['shards']} "
+            f"removed {removed} record(s) and {shards} "
             f"shard file(s) from {store.root}"
         )
     return 0

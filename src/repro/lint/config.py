@@ -9,7 +9,8 @@ The defaults encode this repository's invariant map:
   are cross-checked against the Fraction engine.
 * **DET** (determinism) guards everything that produces wire traffic,
   sweep results, cache bytes or trace records — ``repro.protocols``,
-  ``repro.comm``, ``repro.cache`` and ``repro.trace``.  Randomness must
+  ``repro.comm``, ``repro.cache``, ``repro.trace`` and the
+  ``repro.persist`` write/activation plumbing they share.  Randomness must
   come from :mod:`repro.util.rng`, never ambient state or the clock, and
   persisted records must be byte-stable.  (:mod:`repro.trace`'s single
   monotonic-tick read carries a documented inline pragma.)
@@ -129,6 +130,7 @@ class LintConfig:
         "repro.comm", "repro.comm.*",
         "repro.cache", "repro.cache.*",
         "repro.trace", "repro.trace.*",
+        "repro.persist",
         "repro.serve", "repro.serve.*",
         "repro.matrix", "repro.matrix.*",
     )

@@ -276,10 +276,9 @@ def restricted_truth_matrix(
         rows=len(rows),
         cols=len(columns),
     ):
-        with obs.time_block(f"truth_builder.{engine}"):
-            if engine == "fraction":
-                return _fraction_predicate_matrix(family, rows, columns)
-            return _modnp_matrix(family, rows, columns, prime)
+        if engine == "fraction":
+            return _fraction_predicate_matrix(family, rows, columns)
+        return _modnp_matrix(family, rows, columns, prime)
 
 
 def _block_task(task) -> tuple[int, bytes]:
@@ -384,75 +383,74 @@ def sharded_truth_matrix(
         blocks=len(ranges),
         workers=n_workers,
     ):
-        with obs.time_block(f"truth_builder.sharded_{engine}"):
-            store = cache.active_store()
-            key = None
-            if store is not None:
-                key = _shard_build_key(
-                    family, rows, columns, engine, prime, block_size
-                )
-                store.put_shard_manifest(
-                    key,
-                    cache.shard_manifest_record(
-                        n_rows, len(columns), block_size,
-                        SHARD_VERSIONS[engine],
-                    ),
-                )
-            blocks: dict[tuple[int, int], bytes] = {}
-            remaining: list[tuple[int, int]] = []
-            for start, stop in ranges:
-                data = (
-                    store.get_shard(key, start, stop)
-                    if store is not None
-                    else None
-                )
-                if data is not None:
-                    obs.counter("truth_builder.shards_resumed").inc()
-                    blocks[(start, stop)] = data
-                else:
-                    remaining.append((start, stop))
-            # Waves keep resumability real: a kill between waves loses at
-            # most one wave of work, everything before it is already on
-            # disk.  The wave width amortizes pool spin-up without
-            # affecting the bytes (block boundaries are fixed above).
-            wave = max(1, n_workers) * 4
-            built = 0
-            while remaining:
-                take = wave
-                if interrupt_after is not None:
-                    take = min(take, interrupt_after - built)
-                    if take <= 0:
-                        raise TruthBuildInterrupted(
-                            key, built, len(ranges)
-                        )
-                current = remaining[:take]
-                remaining = remaining[take:]
-                tasks = [
-                    (
-                        family, rows, tuple(columns[start:stop]), engine,
-                        prime, start,
+        store = cache.active_store()
+        key = None
+        if store is not None:
+            key = _shard_build_key(
+                family, rows, columns, engine, prime, block_size
+            )
+            store.put_shard_manifest(
+                key,
+                cache.shard_manifest_record(
+                    n_rows, len(columns), block_size,
+                    SHARD_VERSIONS[engine],
+                ),
+            )
+        blocks: dict[tuple[int, int], bytes] = {}
+        remaining: list[tuple[int, int]] = []
+        for start, stop in ranges:
+            data = (
+                store.get_shard(key, start, stop)
+                if store is not None
+                else None
+            )
+            if data is not None:
+                obs.counter("truth_builder.shards_resumed").inc()
+                blocks[(start, stop)] = data
+            else:
+                remaining.append((start, stop))
+        # Waves keep resumability real: a kill between waves loses at
+        # most one wave of work, everything before it is already on
+        # disk.  The wave width amortizes pool spin-up without
+        # affecting the bytes (block boundaries are fixed above).
+        wave = max(1, n_workers) * 4
+        built = 0
+        while remaining:
+            take = wave
+            if interrupt_after is not None:
+                take = min(take, interrupt_after - built)
+                if take <= 0:
+                    raise TruthBuildInterrupted(
+                        key, built, len(ranges)
                     )
-                    for start, stop in current
-                ]
-                results = parmap(
-                    _block_task, tasks, workers=n_workers, chunksize=1
+            current = remaining[:take]
+            remaining = remaining[take:]
+            tasks = [
+                (
+                    family, rows, tuple(columns[start:stop]), engine,
+                    prime, start,
                 )
-                for (start, stop), (result_start, data) in zip(
-                    current, results
-                ):
-                    assert result_start == start, "parmap order broke"
-                    blocks[(start, stop)] = data
-                    obs.counter("truth_builder.shards_built").inc()
-                    if store is not None:
-                        store.put_shard(key, start, stop, data)
-                    built += 1
-            arrays = [
-                np.frombuffer(blocks[(start, stop)], dtype=np.uint8).reshape(
-                    n_rows, stop - start
-                )
-                for start, stop in ranges
+                for start, stop in current
             ]
-            return truth_matrix_from_column_blocks(arrays, rows, columns)
+            results = parmap(
+                _block_task, tasks, workers=n_workers, chunksize=1
+            )
+            for (start, stop), (result_start, data) in zip(
+                current, results
+            ):
+                assert result_start == start, "parmap order broke"
+                blocks[(start, stop)] = data
+                obs.counter("truth_builder.shards_built").inc()
+                if store is not None:
+                    store.put_shard(key, start, stop, data)
+                built += 1
+        arrays = [
+            np.frombuffer(blocks[(start, stop)], dtype=np.uint8).reshape(
+                n_rows, stop - start
+            )
+            for start, stop in ranges
+        ]
+        return truth_matrix_from_column_blocks(arrays, rows, columns)
 
 
 @dataclass(frozen=True)

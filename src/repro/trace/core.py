@@ -1,6 +1,6 @@
 """Hierarchical spans and typed events on top of :mod:`repro.obs`.
 
-``repro.obs`` answers *how many* — flat counters and timers.  This module
+``repro.obs`` answers *how many* — flat counters.  This module
 answers *where*: a :class:`Tracer` records a tree of **spans** (named,
 nested intervals measured on a monotonic nanosecond clock) and point
 **events** (a Send on the wire, an ARQ retransmission, an
@@ -13,30 +13,32 @@ leaf the protocol reached, cross-checking the live ``RunReport``.
 Design constraints, in priority order:
 
 * **free when off** — every instrumentation site calls
-  :func:`active_tracer` first, which is one lock-free global read when no
-  tracer is installed; tier-1 timings must not move;
+  :func:`active_tracer` first, which takes no lock and allocates nothing
+  when no tracer is installed (an environment lookup, about a
+  microsecond); tier-1 timings must not move;
 * **bounded** — events live in a ring buffer (``collections.deque`` with
   ``maxlen``); overflow drops the *oldest* events and counts them in
   :attr:`Tracer.dropped` rather than growing without bound;
 * **deterministic bytes** — exported JSONL is canonical (sorted keys,
-  compact separators) and written with the same pid+tid-unique temporary
-  file + ``os.replace`` discipline as :mod:`repro.cache.store`, so two
-  processes never interleave torn lines;
+  compact separators) and written through
+  :func:`repro.persist.atomic_write`, the discipline
+  :mod:`repro.cache.store` shares, so two processes never interleave
+  torn lines;
 * **DET-clean** — the one wall-clock read lives in :func:`_now_ns` behind
   a documented pragma; ticks are observability payload only and never
   feed a Send, an encoder, or a seed.
 
-Activation mirrors the cache API: explicit :func:`configure` beats the
-``REPRO_TRACE_DIR`` environment variable; :func:`capture` scopes an
-in-memory tracer for tests and the replay tour.
+Activation is the :class:`repro.persist.Activation` rule :mod:`repro.cache`
+uses too: explicit :func:`configure` beats the ``REPRO_TRACE_DIR``
+environment variable; :func:`capture` scopes an in-memory tracer for
+tests and the replay tour.  Env-activated tracers flush at interpreter
+exit.
 """
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
-import threading
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -44,6 +46,7 @@ from pathlib import Path
 from threading import Lock
 
 from repro import obs
+from repro.persist import Activation, atomic_write
 
 #: JSONL export schema version; bump on any incompatible field change.
 SCHEMA_VERSION = 1
@@ -302,9 +305,9 @@ class Tracer:
         """Write the ring as canonical JSONL, atomically; returns the path.
 
         With no ``path`` and no sink directory this is a no-op returning
-        None.  The write goes through a pid+tid-unique temporary file and
-        ``os.replace`` — the :mod:`repro.cache.store` discipline — so a
-        reader never sees a torn file.
+        None.  The write goes through :func:`repro.persist.atomic_write`,
+        the discipline :mod:`repro.cache.store` shares, so a reader never
+        sees a torn file.
         """
         if path is None:
             path = self.default_sink_path()
@@ -313,11 +316,7 @@ class Tracer:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = [encode_event(ev) for ev in self.events()]
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
-        tmp.write_text("".join(lines))
-        os.replace(tmp, path)
+        atomic_write(path, "".join(lines).encode())
         obs.counter("trace.flushes").inc()
         return path
 
@@ -338,28 +337,22 @@ def load_jsonl(path) -> list[TraceEvent]:
 # Active-tracer resolution: explicit configure() beats the environment.
 # ---------------------------------------------------------------------------
 
-_LOCK = Lock()
-_CONFIGURED: Tracer | None = None
-_CONFIGURED_SET = False
-_ENV_TRACERS: dict[str, Tracer] = {}
-_ATEXIT_REGISTERED = False
+
+def _flush_if_recorded(tracer: Tracer) -> None:
+    """At interpreter exit: write out an env-activated tracer's events."""
+    if len(tracer):
+        tracer.flush()
 
 
-def _register_atexit(tracer: Tracer) -> None:
-    """Flush env-activated tracers at interpreter exit (idempotent)."""
-    global _ATEXIT_REGISTERED
-    if _ATEXIT_REGISTERED:
-        return
-    _ATEXIT_REGISTERED = True
-    atexit.register(_flush_env_tracers)
+_TRACERS = Activation(
+    ENV_VAR, lambda path: Tracer(sink_dir=path), at_exit=_flush_if_recorded
+)
 
 
-def _flush_env_tracers() -> None:
-    with _LOCK:
-        tracers = list(_ENV_TRACERS.values())
-    for tracer in tracers:
-        if len(tracer):
-            tracer.flush()
+def _tracer_at(path, capacity: int, label: str) -> Tracer | None:
+    if path is None:
+        return None
+    return Tracer(capacity=capacity, sink_dir=path, label=label)
 
 
 def forget_inherited() -> None:
@@ -368,11 +361,7 @@ def forget_inherited() -> None:
     For a freshly forked pool worker: its tracers are copies of the
     parent's, whose events and open spans the parent exports itself.
     """
-    with _LOCK:
-        tracers = list(_ENV_TRACERS.values())
-        if _CONFIGURED is not None:
-            tracers.append(_CONFIGURED)
-    for tracer in tracers:
+    for tracer in _TRACERS.instances():
         tracer.clear()
 
 
@@ -381,100 +370,49 @@ def configure(path, capacity: int = DEFAULT_CAPACITY,
     """Pin the process-wide tracer to a JSONL sink under ``path`` (None
     disables tracing even when ``REPRO_TRACE_DIR`` is set).  Returns the
     active tracer."""
-    global _CONFIGURED, _CONFIGURED_SET
-    tracer = (
-        Tracer(capacity=capacity, sink_dir=path, label=label)
-        if path is not None
-        else None
-    )
-    with _LOCK:
-        _CONFIGURED = tracer
-        _CONFIGURED_SET = True
-    return tracer
+    return _TRACERS.configure(_tracer_at(path, capacity, label))
 
 
 def unconfigure() -> None:
     """Drop any explicit configuration; the environment rules again."""
-    global _CONFIGURED, _CONFIGURED_SET
-    with _LOCK:
-        _CONFIGURED = None
-        _CONFIGURED_SET = False
+    _TRACERS.unconfigure()
 
 
 def active_tracer() -> Tracer | None:
     """The tracer every instrumentation site consults, or None.
 
-    This is the no-op fast path: with no explicit configuration and no
-    ``REPRO_TRACE_DIR``, the common case is two global reads and an
-    environment lookup — no allocation and no lock (the unlocked reads are
-    benign: at worst one event lands on the just-replaced tracer during a
-    concurrent reconfigure).
+    This is the no-op fast path and takes no lock: with tracing configured
+    it is one attribute read; with no configuration it is an environment
+    lookup (about a microsecond) and, when ``REPRO_TRACE_DIR`` is set, one
+    dict read.
     """
-    if _CONFIGURED_SET:
-        return _CONFIGURED
-    env = os.environ.get(ENV_VAR)
-    if env is None or not env.strip():
-        return None
-    path = env.strip()
-    with _LOCK:
-        tracer = _ENV_TRACERS.get(path)
-    if tracer is None:
-        tracer = Tracer(sink_dir=path)
-        with _LOCK:
-            tracer = _ENV_TRACERS.setdefault(path, tracer)
-        _register_atexit(tracer)
-    return tracer
+    return _TRACERS.active()
 
 
-@contextmanager
 def capture(capacity: int = DEFAULT_CAPACITY):
-    """Scoped in-memory tracer: activate, yield it, restore the previous
-    resolution state.  The workhorse of the trace tests and examples."""
-    global _CONFIGURED, _CONFIGURED_SET
-    with _LOCK:
-        saved = (_CONFIGURED, _CONFIGURED_SET)
-    tracer = Tracer(capacity=capacity)
-    with _LOCK:
-        _CONFIGURED = tracer
-        _CONFIGURED_SET = True
-    try:
-        yield tracer
-    finally:
-        _restore(saved)
+    """Scoped in-memory tracer: a context manager that activates it, yields
+    it, and restores the previous resolution state.  The workhorse of the
+    trace tests and examples."""
+    return _TRACERS.scoped(Tracer(capacity=capacity))
 
 
 @contextmanager
 def directory(path, capacity: int = DEFAULT_CAPACITY, label: str = "trace"):
     """Scoped :func:`configure`: trace into a JSONL sink under ``path``,
     flush on exit, restore the previous resolution state afterwards."""
-    with _LOCK:
-        saved = (_CONFIGURED, _CONFIGURED_SET)
-    tracer = configure(path, capacity=capacity, label=label)
-    try:
-        yield tracer
-    finally:
-        if tracer is not None and len(tracer):
-            tracer.flush()
-        _restore(saved)
+    tracer = _tracer_at(path, capacity, label)
+    with _TRACERS.scoped(tracer):
+        try:
+            yield tracer
+        finally:
+            if tracer is not None and len(tracer):
+                tracer.flush()
 
 
-@contextmanager
 def disabled():
     """Scoped off-switch: no tracing inside the block (used by the bench
     harness so instrumented timings never pay trace overhead)."""
-    with _LOCK:
-        saved = (_CONFIGURED, _CONFIGURED_SET)
-    configure(None)
-    try:
-        yield
-    finally:
-        _restore(saved)
-
-
-def _restore(saved) -> None:
-    global _CONFIGURED, _CONFIGURED_SET
-    with _LOCK:
-        _CONFIGURED, _CONFIGURED_SET = saved
+    return _TRACERS.scoped(None)
 
 
 # ---------------------------------------------------------------------------

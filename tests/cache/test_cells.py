@@ -94,7 +94,7 @@ class TestCellTier:
         (store.cells / "bad.json").write_text("not json")
         assert any("unparseable" in p for p in store.verify())
         store.clear()
-        assert store.cell_stats()["entries"] == 0
+        assert store.stats()["cells"]["entries"] == 0
         assert store.verify() == []
 
 
@@ -124,7 +124,7 @@ class TestTmpOrphanRace:
 
     def test_shard_tmp_older_than_manifest_is_an_orphan(self, store):
         key = self._committed_build(store)
-        manifest_mtime = store._manifest_path(key).stat().st_mtime_ns
+        manifest_mtime = (store.shards / f"{key}.manifest.json").stat().st_mtime_ns
         tmp = self._shard_tmp(store, key, age_ns=manifest_mtime - 10**9)
         assert store.orphaned_tmp() == [tmp]
         assert store.sweep_tmp() == 1

@@ -115,7 +115,7 @@ class TestCrossEngineIsolation:
         tm = gt(5)
         with cache.directory(tmp_path) as store:
             cold = communication_complexity(tm)
-            for path in store._record_paths():
+            for path in sorted(store.objects.glob("*.json")):
                 path.write_text("garbage")
             clear_search_cache()
             assert communication_complexity(tm) == cold

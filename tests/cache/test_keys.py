@@ -3,7 +3,40 @@
 import numpy as np
 import pytest
 
-from repro.cache import KEY_PREFIX, canonical_matrix_bytes, matrix_key
+from repro.cache import (
+    KEY_PREFIX,
+    build_key,
+    canonical_matrix_bytes,
+    cell_key,
+    matrix_key,
+)
+
+
+class TestPinnedDigests:
+    """Changing any key orphans every existing store and cell cache, so
+    one digest per key function is pinned to its historical value."""
+
+    def test_matrix_key(self):
+        assert matrix_key("bitset-1", (2, 3), bytes([0, 1, 1, 0, 1, 0])) == (
+            "4fc96c30c761814e89127ccc0b5a259ce6cd490d"
+        )
+
+    def test_build_key(self):
+        params = {"rows": (1, 2), "cols": 3, "block": 4, "family": "F(5,3)"}
+        assert build_key("fraction-1", params) == (
+            "284c0b69c93ee02f177d0370f3cfba5a6cdbe907"
+        )
+
+    def test_cell_key(self):
+        coords = {
+            "builder": "_det_equality",
+            "params": {"n": 4},
+            "seed": 0,
+            "regime": "clean",
+        }
+        assert cell_key("matrix-1", coords) == (
+            "2d153c17df51cf08277687741170993fc54e7b92"
+        )
 
 
 class TestCanonicalBytes:

@@ -86,7 +86,7 @@ class TestShardIO:
             )
             for start, stop in block_ranges(10, 4):
                 store.put_shard(key, start, stop, b"\x01" * (2 * (stop - start)))
-            stats = store.shard_stats()
+            stats = store.stats()["shards"]
             assert stats["builds"] == 1
             assert stats["complete_builds"] == 1
             assert stats["partial_builds"] == 0
@@ -94,7 +94,7 @@ class TestShardIO:
             assert stats["bytes"] == 20
             assert stats["orphaned_shards"] == 0
             assert store.get_shard(key, 0, 4) == b"\x01" * 8
-            assert store.verify_shards() == []
+            assert store.verify() == []
 
     def test_partial_build_is_visible(self, tmp_path):
         with cache.directory(tmp_path) as store:
@@ -103,7 +103,7 @@ class TestShardIO:
                 key, cache.shard_manifest_record(2, 10, 4, "e")
             )
             store.put_shard(key, 0, 4, b"\x00" * 8)
-            stats = store.shard_stats()
+            stats = store.stats()["shards"]
             assert stats["partial_builds"] == 1
             assert stats["complete_builds"] == 0
             builds = store.shard_builds()
@@ -136,8 +136,8 @@ class TestVerifyAndClear:
             (store.shards / f"{shard_name(orphan, 0, 4)}.bin").write_bytes(
                 b"\x00" * 8
             )
-            assert store.shard_stats()["orphaned_shards"] == 1
-            assert any("orphan" in p for p in store.verify_shards())
+            assert store.stats()["shards"]["orphaned_shards"] == 1
+            assert any("orphan" in p for p in store.verify())
 
     def test_verify_flags_corrupt_bytes_and_grid(self, tmp_path):
         with cache.directory(tmp_path) as store:
@@ -152,9 +152,9 @@ class TestVerifyAndClear:
             (store.shards / f"{shard_name(key, 0, 4)}.bin").write_bytes(
                 b"\x07" * 8
             )
-            problems = store.verify_shards()
-            assert problems
-            assert store.verify() != []  # top-level verify folds shards in
+            problems = store.verify()
+            assert any("block grid" in p for p in problems)
+            assert any("non-0/1" in p for p in problems)
 
     def test_clear_removes_everything(self, tmp_path):
         with cache.directory(tmp_path) as store:
@@ -165,7 +165,7 @@ class TestVerifyAndClear:
             store.put_shard(key, 0, 4, b"\x00" * 8)
             # clear() counts records only; shard files report separately.
             assert store.clear() == 0
-            stats = store.shard_stats()
+            stats = store.stats()["shards"]
             assert stats["builds"] == 0 and stats["shards"] == 0
 
     def test_clear_shards_counts_files(self, tmp_path):
@@ -175,7 +175,37 @@ class TestVerifyAndClear:
                 key, cache.shard_manifest_record(2, 10, 4, "e")
             )
             store.put_shard(key, 0, 4, b"\x00" * 8)
-            assert store.clear_shards() == 2  # manifest + one shard
+            assert store.stats()["shards"]["shards"] == 1  # what the CLI reports
+            store.clear()
+            assert list(store.shards.iterdir()) == []  # manifest + shard gone
+
+    def test_manifest_with_bad_fields_is_partial_reported_and_cleared(
+        self, tmp_path
+    ):
+        store = cache.CacheStore(tmp_path)
+        key = make_key()
+        (store.shards / f"{key}.manifest.json").write_text('{"v":1}\n')
+        stats = store.stats()["shards"]
+        assert stats["builds"] == 1 and stats["partial_builds"] == 1
+        assert store.shard_builds()[key] == {"manifest": None, "missing": None}
+        assert store.get_shard_manifest(key) is None
+        problems = store.verify()
+        assert any("rows is not a positive int" in p for p in problems)
+        assert any("missing or empty engine tag" in p for p in problems)
+        with pytest.raises(ValueError):
+            store.put_shard(key, 0, 4, b"\x00" * 8)
+        store.clear()
+        assert list(store.shards.iterdir()) == []
+
+    def test_cli_survives_a_manifest_with_bad_fields(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = cache.CacheStore(tmp_path)
+        (store.shards / f"{make_key()}.manifest.json").write_text('{"v":1}\n')
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        assert "1 partial" in capsys.readouterr().out
+        assert main(["cache", "clear", "--dir", str(tmp_path)]) == 0
+        assert list(store.shards.iterdir()) == []
 
     def test_top_level_stats_include_shards(self, tmp_path):
         with cache.directory(tmp_path) as store:

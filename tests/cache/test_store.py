@@ -91,7 +91,7 @@ class TestMerge:
             t.join()
         # Atomic replace: the final record parses and is schema-clean
         # (last-writer-wins per field is acceptable; torn bytes are not).
-        text = store._path(KEY).read_text()
+        text = (store.objects / f"{KEY}.json").read_text()
         record = cache.decode_record(text)
         assert record is not None
         assert cache.record_problems(record, text) == []
@@ -119,14 +119,14 @@ class TestVerifyStatsClear:
 
     def test_verify_flags_corruption(self, store):
         self._seed(store)
-        victim = store._path(KEY)
+        victim = store.objects / f"{KEY}.json"
         victim.write_text("{corrupted")
         problems = store.verify()
         assert len(problems) == 1 and "unparseable" in problems[0]
 
     def test_verify_flags_noncanonical_bytes(self, store):
         self._seed(store)
-        victim = store._path(KEY)
+        victim = store.objects / f"{KEY}.json"
         record = cache.decode_record(victim.read_text())
         victim.write_text(json.dumps(record, indent=2))  # valid, wrong form
         assert any("canonical" in p for p in store.verify())
@@ -138,7 +138,7 @@ class TestVerifyStatsClear:
             "v": 1, "engine": "bitset-1", "shape": [2, 2],
             "tree": ["N", 7, [0], ["L", 0], ["L", 1]],
         })
-        store._path(KEY).write_text(text)
+        (store.objects / f"{KEY}.json").write_text(text)
         assert any("tree" in p for p in store.verify())
 
     def test_clear(self, store):
@@ -150,12 +150,12 @@ class TestVerifyStatsClear:
 class TestOrphanedTmp:
     def _crash_mid_merge(self, store, monkeypatch):
         """Simulate a writer killed between tmp write and os.replace."""
-        import repro.cache.store as store_module
+        import repro.persist as persist
 
         def killed(src, dst):
             raise KeyboardInterrupt("writer killed mid-commit")
 
-        monkeypatch.setattr(store_module.os, "replace", killed)
+        monkeypatch.setattr(persist.os, "replace", killed)
         with pytest.raises(KeyboardInterrupt):
             store.merge(KEY, {"d": 2}, "bitset-1", (2, 2))
         monkeypatch.undo()

@@ -44,10 +44,10 @@ class TestCacheIdentity:
             uncached = _canonical(workers=2)
         with cache.directory(tmp_path) as store:
             cold = _canonical(workers=2)
-            cached_docs = store.cell_stats()["entries"]
+            cached_docs = store.stats()["cells"]["entries"]
             warm = _canonical(workers=2)
             # The warm pass answered from the cells tier alone.
-            assert store.cell_stats()["entries"] == cached_docs
+            assert store.stats()["cells"]["entries"] == cached_docs
         assert cached_docs == len(
             json.loads(cold)["cells"]
         ), "every cell document should persist"
@@ -56,7 +56,7 @@ class TestCacheIdentity:
     def test_cell_documents_verify_clean(self, tmp_path):
         with cache.directory(tmp_path) as store:
             run_sweep(quick=True, seed=0)
-            assert store.verify_cells() == []
+            assert store.verify() == []
             assert store.verify() == []
 
 

@@ -90,7 +90,7 @@ class TestResume:
                     interrupt_after=kill,
                 )
             assert exc.value.blocks_done == kill
-            assert store.shard_stats()["partial_builds"] == 1
+            assert store.stats()["shards"]["partial_builds"] == 1
             with obs.scoped() as reg:
                 tm = sharded_truth_matrix(
                     family, rows, cols, block_size=block
@@ -98,9 +98,9 @@ class TestResume:
                 counters = reg.snapshot()["counters"]
             assert tm.data.tobytes() == base.data.tobytes()
             assert counters["truth_builder.shards_resumed"] == kill
-            stats = store.shard_stats()
+            stats = store.stats()["shards"]
             assert stats["complete_builds"] == 1
-            assert store.verify_shards() == []
+            assert store.verify() == []
 
     def test_completed_build_is_all_hits(self, baseline, tmp_path):
         family, rows, cols, base = baseline
@@ -120,7 +120,7 @@ class TestResume:
                 family, rows, cols, engine="fraction", block_size=6
             )
             assert tm.data.tobytes() == base.data.tobytes()
-            assert store.shard_stats()["builds"] == 2
+            assert store.stats()["shards"]["builds"] == 2
 
     def test_interrupt_reports_progress(self, baseline, tmp_path):
         family, rows, cols, _base = baseline

@@ -47,8 +47,6 @@ class TestRunBench:
         counters = report["obs"]["counters"]
         # The modnp fast path must actually have filtered something.
         assert counters.get("truth_builder.modnp_filtered", 0) > 0
-        assert "truth_builder.fraction" in report["obs"]["timers"]
-        assert "truth_builder.modnp" in report["obs"]["timers"]
 
     def test_summary_renders(self, quick_report):
         report, _ = quick_report

@@ -1,4 +1,4 @@
-"""Tests for the counters/timers registry (repro.obs)."""
+"""Tests for the counter registry (repro.obs)."""
 
 import threading
 
@@ -38,24 +38,6 @@ class TestCounters:
             for t in threads:
                 t.join()
             assert obs.snapshot()["counters"]["hits"] == 4000
-
-
-class TestTimers:
-    def test_time_block_records(self):
-        with obs.scoped():
-            with obs.time_block("phase"):
-                pass
-            snap = obs.snapshot()["timers"]["phase"]
-        assert snap["calls"] == 1
-        assert snap["seconds"] >= 0.0
-
-    def test_observe_accumulates(self):
-        with obs.scoped():
-            obs.timer("t").observe(0.5)
-            obs.timer("t").observe(1.5)
-            snap = obs.snapshot()["timers"]["t"]
-        assert snap["calls"] == 2
-        assert abs(snap["seconds"] - 2.0) < 1e-9
 
 
 class TestScoped:

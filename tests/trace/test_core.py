@@ -1,7 +1,8 @@
 """Trace core: the ring, spans, canonical JSONL, and activation rules.
 
 Everything here tests :mod:`repro.trace.core` in isolation — no protocol
-runs, no subprocesses.  The invariants under test are the ones the docs
+runs, and one fresh interpreter only to observe the exit-time flush of
+an environment-activated tracer.  The invariants under test are the ones the docs
 promise (docs/observability.md): bounded memory with counted drops,
 canonical byte-stable JSONL written atomically, and an activation order
 where explicit :func:`configure` beats the ``REPRO_TRACE_DIR``
@@ -10,6 +11,9 @@ environment variable.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +234,22 @@ class TestActivation:
                 core.event("swallowed")
             core.event("kept")
         assert [e.name for e in tracer.events()] == ["kept"]
+
+    def test_env_tracer_flushes_at_interpreter_exit(self, tmp_path):
+        src = Path(core.__file__).resolve().parents[2]
+        env = dict(os.environ, REPRO_TRACE_DIR=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        subprocess.run(
+            [sys.executable, "-c",
+             "from repro import trace; trace.event('bye', n=1)"],
+            env=env, check=True, timeout=120,
+        )
+        files = list(tmp_path.glob("trace-*.jsonl"))
+        assert len(files) == 1
+        events = load_jsonl(files[0])
+        assert [(e.name, e.fields) for e in events] == [("bye", {"n": 1})]
 
     def test_module_helpers_are_noops_when_off(self):
         with core.span("ignored") as span:

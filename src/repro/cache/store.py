@@ -126,8 +126,9 @@ def record_problems(record: dict | None, text: str | None = None) -> list[str]:
     ):
         problems.append("shape is not a pair of positive ints")
     for field in ("d", "leaves"):
+        # bool is an int subclass, but ``true`` is no cost.
         if field in record and not (
-            isinstance(record[field], int) and record[field] >= 0
+            type(record[field]) is int and record[field] >= 0
         ):
             problems.append(f"{field} is not a non-negative int")
     if "tree" in record and not _valid_tree(record["tree"]):

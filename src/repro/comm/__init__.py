@@ -133,7 +133,6 @@ from repro.comm.measures import (
 from repro.comm.exhaustive import (
     clear_search_cache,
     communication_complexity,
-    configure_search_cache,
     dedupe,
     deterministic_cc_of_function,
     optimal_protocol_tree,
@@ -265,7 +264,6 @@ __all__ = [
     "truth_matrix_rank",
     "yao_bound",
     "clear_search_cache",
-    "configure_search_cache",
     "communication_complexity",
     "dedupe",
     "deterministic_cc_of_function",

@@ -24,7 +24,7 @@ Two engines implement the recursion:
   sets via :mod:`repro.comm.rectangles` — see docs/performance.md for the
   admissibility proofs) prune whole subtrees, and a symmetry normal form
   (iterated row/column sort + transpose minimum) lets permutation-equivalent
-  subrectangles share one memo entry.  Default size limit: 16 rows/columns.
+  subrectangles share one memo entry.  Default size limit: 18 rows/columns.
 * ``engine="legacy"`` — the original tuple-of-indices DP, kept as the
   ground-truth oracle the cross-engine test suite compares against.
   Default size limit: 12.
@@ -57,7 +57,8 @@ When a persistent cache is configured (see :mod:`repro.cache`;
 deduplicated matrix bytes plus the engine version tag form a
 content-addressed key, and ``communication_complexity`` /
 ``optimal_protocol_tree`` / ``partition_number`` consult the on-disk record
-before searching.
+before searching.  All three take one path, :func:`_exact`: resolve,
+dedupe, size-check, probe the record, solve, merge.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from __future__ import annotations
 import os
 import tempfile
 from collections import OrderedDict
+from operator import methodcaller
 from threading import Lock
 
 import numpy as np
@@ -122,19 +124,24 @@ def dedupe(tm: TruthMatrix) -> TruthMatrix:
     inputs before speaking), so exact search should always run on the
     deduplicated matrix.
     """
-    row_seen: dict[tuple, int] = {}
-    row_keep: list[int] = []
-    for i, row in enumerate(map(tuple, tm.data.tolist())):
-        if row not in row_seen:
-            row_seen[row] = i
-            row_keep.append(i)
-    col_seen: dict[tuple, int] = {}
-    col_keep: list[int] = []
-    for j, col in enumerate(map(tuple, tm.data.T.tolist())):
-        if col not in col_seen:
-            col_seen[col] = j
-            col_keep.append(j)
+    row_keep, _ = _first_occurrences(tm.data.tolist())
+    col_keep, _ = _first_occurrences(tm.data.T.tolist())
     return tm.submatrix(row_keep, col_keep)
+
+
+def _first_occurrences(lines) -> tuple[list[int], list[int]]:
+    """``(keep, index)``: the positions of each distinct line's first
+    occurrence, and for every line the rank of its first occurrence among
+    ``keep`` — its row/column index in the deduplicated matrix."""
+    rank: dict[tuple, int] = {}
+    keep: list[int] = []
+    index: list[int] = []
+    for i, line in enumerate(map(tuple, lines)):
+        if line not in rank:
+            rank[line] = len(keep)
+            keep.append(i)
+        index.append(rank[line])
+    return keep, index
 
 
 def _bipartitions(members: tuple[int, ...]):
@@ -242,9 +249,9 @@ class _ExactSearch:
         self.memo[(rows, cols)] = result
         return result
 
-    def solve_root(self) -> _Solved:
+    def solve_d_root(self) -> int:
         n_rows, n_cols = self.data.shape
-        return self.solve(tuple(range(n_rows)), tuple(range(n_cols)))
+        return self.solve(tuple(range(n_rows)), tuple(range(n_cols)))[0]
 
     def solve_leaves(
         self, rows: tuple[int, ...], cols: tuple[int, ...]
@@ -740,45 +747,8 @@ class _BitsetSearch:
 _SEARCH_CACHE: OrderedDict[
     tuple[str, bytes, tuple[int, int]], "_BitsetSearch | _ExactSearch"
 ] = OrderedDict()
-_SEARCH_CACHE_DEFAULT_LIMIT = 64
-_SEARCH_CACHE_ENV = "REPRO_SEARCH_CACHE_LIMIT"
+_SEARCH_CACHE_LIMIT = 64
 _SEARCH_CACHE_LOCK = Lock()
-
-
-def _default_search_cache_limit() -> int:
-    """64, unless ``REPRO_SEARCH_CACHE_LIMIT`` overrides (clamped to 1)."""
-    env = os.environ.get(_SEARCH_CACHE_ENV)
-    if env is None or not env.strip():
-        return _SEARCH_CACHE_DEFAULT_LIMIT
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(
-            f"{_SEARCH_CACHE_ENV} must be an integer, got {env!r}"
-        ) from None
-
-
-_SEARCH_CACHE_LIMIT = _default_search_cache_limit()
-
-
-def configure_search_cache(limit: int | None = None) -> int:
-    """Set the in-process search LRU's entry limit; returns the new limit.
-
-    ``None`` re-resolves the default (``REPRO_SEARCH_CACHE_LIMIT`` env
-    var, else 64).  Shrinking evicts oldest entries immediately.  Pool
-    workers inherit the environment variable, so exporting it sizes every
-    worker's process-local cache too — ``configure_search_cache`` alone
-    only reaches the calling process.
-    """
-    global _SEARCH_CACHE_LIMIT
-    with _SEARCH_CACHE_LOCK:
-        if limit is None:
-            _SEARCH_CACHE_LIMIT = _default_search_cache_limit()
-        else:
-            _SEARCH_CACHE_LIMIT = max(1, int(limit))
-        while len(_SEARCH_CACHE) > _SEARCH_CACHE_LIMIT:
-            _SEARCH_CACHE.popitem(last=False)
-        return _SEARCH_CACHE_LIMIT
 
 
 def _search_for(deduped: TruthMatrix, engine: str):
@@ -1085,42 +1055,77 @@ def _parallel_root_min(deduped: TruthMatrix, kind: str, n_workers: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Persistent cache plumbing (opt-in; see repro.cache).
+# Public API: every entry point goes through one front door.
 # ---------------------------------------------------------------------------
 
-
-def _cache_record(deduped: TruthMatrix, engine: str):
-    """(store, key) when a persistent cache is active, else (None, None)."""
-    from repro import cache
-
-    store = cache.active_store()
-    if store is None:
-        return None, None
-    data = np.ascontiguousarray(deduped.data)
-    key = cache.matrix_key(
-        ENGINE_VERSIONS[engine], deduped.shape, data.tobytes()
-    )
-    return store, key
+#: The root solve behind each record field; both engines' search objects
+#: share these method names.
+_ROOT_SOLVES = {
+    "d": methodcaller("solve_d_root"),
+    "leaves": methodcaller("solve_leaves_root"),
+    "tree": methodcaller("serialized_root_tree"),
+}
 
 
-def _cache_lookup(store, key: str, field: str):
-    if store is None:
-        return None
-    record = store.get(key)
-    if record is None:
-        return None
-    return record.get(field)
+def _exact(
+    span: str,
+    tm: TruthMatrix,
+    fields: tuple[str, ...],
+    limit: int | None,
+    engine: str | None,
+    workers: int | None,
+) -> dict:
+    """The record ``fields`` of ``tm``'s deduplicated matrix, exactly.
 
+    The one path of every entry point: resolve the engine and worker
+    count, open ``span``, dedupe, check the size limit, then answer from
+    the persistent store's record (see :mod:`repro.cache`) when it holds
+    every field asked for — ``CacheStore.get`` already drops records whose
+    fields fail the schema — else solve and merge the fields into it.
+    ``d``/``leaves`` fan their root splits out when the bitset engine has
+    ``workers > 1``; everything else runs on the shared in-process search.
+    """
+    engine = _resolve_engine(engine)
+    n_workers = resolve_workers(workers)
+    # The span covers dedup + cache probing too, so traced wall time stays
+    # attributed even when the search itself is cheap.
+    with trace.span(
+        span,
+        engine=engine,
+        workers=n_workers,
+        rows=int(tm.shape[0]),
+        cols=int(tm.shape[1]),
+    ) as sp:
+        deduped = dedupe(tm)
+        _check_size(deduped, _resolve_limit(limit, engine))
+        if sp is not None:
+            sp.annotate(
+                deduped_rows=int(deduped.shape[0]),
+                deduped_cols=int(deduped.shape[1]),
+            )
+        from repro import cache
 
-def _cache_store(store, key: str, deduped: TruthMatrix, engine: str, fields):
-    if store is None:
-        return
-    store.merge(key, fields, ENGINE_VERSIONS[engine], deduped.shape)
-
-
-# ---------------------------------------------------------------------------
-# Public API.
-# ---------------------------------------------------------------------------
+        store = cache.active_store()
+        if store is not None:
+            key = cache.matrix_key(
+                ENGINE_VERSIONS[engine],
+                deduped.shape,
+                np.ascontiguousarray(deduped.data).tobytes(),
+            )
+            record = store.get(key) or {}
+            if all(field in record for field in fields):
+                return record
+        if engine == "bitset" and n_workers > 1 and deduped.data.size > 1:
+            values = {
+                field: _parallel_root_min(deduped, field, n_workers)
+                for field in fields
+            }
+        else:
+            search = _search_for(deduped, engine)
+            values = {field: _ROOT_SOLVES[field](search) for field in fields}
+        if store is not None:
+            store.merge(key, values, ENGINE_VERSIONS[engine], deduped.shape)
+        return values
 
 
 def communication_complexity(
@@ -1136,38 +1141,10 @@ def communication_complexity(
     pruning bound; the result is the same exact integer at any worker
     count.  The legacy engine ignores it (oracle stays sequential).
     """
-    engine = _resolve_engine(engine)
-    n_workers = resolve_workers(workers)
-    # The span covers dedup + cache probing too, so traced wall time stays
-    # attributed even when the search itself is cheap.
-    with trace.span(
+    return _exact(
         "exhaustive.communication_complexity",
-        engine=engine,
-        workers=n_workers,
-        rows=int(tm.shape[0]),
-        cols=int(tm.shape[1]),
-    ) as sp:
-        deduped = dedupe(tm)
-        _check_size(deduped, _resolve_limit(limit, engine))
-        if sp is not None:
-            sp.annotate(
-                deduped_rows=int(deduped.shape[0]),
-                deduped_cols=int(deduped.shape[1]),
-            )
-        store, key = _cache_record(deduped, engine)
-        cached = _cache_lookup(store, key, "d")
-        if isinstance(cached, int):
-            return cached
-        if engine == "bitset" and n_workers > 1 and deduped.data.size > 1:
-            cost = _parallel_root_min(deduped, "d", n_workers)
-        else:
-            search = _search_for(deduped, engine)
-            if engine == "bitset":
-                cost = search.solve_d_root()
-            else:
-                cost = search.solve_root()[0]
-        _cache_store(store, key, deduped, engine, {"d": cost})
-        return cost
+        tm, ("d",), limit, engine, workers,
+    )["d"]
 
 
 def optimal_protocol_tree(
@@ -1179,63 +1156,24 @@ def optimal_protocol_tree(
     column label for agent 1 nodes) and return the announced bit.  Labels of
     duplicate rows/columns are mapped onto their representative.
     """
-    engine = _resolve_engine(engine)
-    with trace.span(
+    # Sequential: the returned tree is pinned to the sequential traversal.
+    record = _exact(
         "exhaustive.optimal_protocol_tree",
-        engine=engine,
-        rows=int(tm.shape[0]),
-        cols=int(tm.shape[1]),
-    ) as sp:
-        deduped = dedupe(tm)
-        _check_size(deduped, _resolve_limit(limit, engine))
-        if sp is not None:
-            sp.annotate(
-                deduped_rows=int(deduped.shape[0]),
-                deduped_cols=int(deduped.shape[1]),
-            )
-
-        # Map original labels to deduped indices so returned predicates
-        # accept any label of the original matrix.  dedupe() keeps first
-        # occurrences in order, so position-among-distinct on the ORIGINAL
-        # matrix is the deduped index (comparing against deduped rows
-        # directly would fail: deduping rows changes the length of column
-        # tuples and vice versa).
-        row_index: dict = {}
-        distinct_rows: dict[tuple, int] = {}
-        for i, row in enumerate(map(tuple, tm.data.tolist())):
-            if row not in distinct_rows:
-                distinct_rows[row] = len(distinct_rows)
-            row_index[tm.row_labels[i]] = distinct_rows[row]
-        col_index: dict = {}
-        distinct_cols: dict[tuple, int] = {}
-        for i, col in enumerate(map(tuple, tm.data.T.tolist())):
-            if col not in distinct_cols:
-                distinct_cols[col] = len(distinct_cols)
-            col_index[tm.col_labels[i]] = distinct_cols[col]
-
-        store, key = _cache_record(deduped, engine)
-        cost = None
-        serial = None
-        if store is not None:
-            record = store.get(key) or {}
-            if isinstance(record.get("d"), int) and isinstance(
-                record.get("tree"), list
-            ):
-                cost = record["d"]
-                serial = record["tree"]
-        if serial is None:
-            search = _search_for(deduped, engine)
-            if engine == "bitset":
-                cost = search.solve_d_root()
-                serial = search.serialized_root_tree()
-            else:
-                cost = search.solve_root()[0]
-                serial = search.serialized_root_tree()
-            _cache_store(
-                store, key, deduped, engine, {"d": cost, "tree": serial}
-            )
-        root = _tree_from_serialized(serial, row_index, col_index)
-        return cost, ProtocolTree(root)
+        tm, ("d", "tree"), limit, engine, 1,
+    )
+    # Map original labels to deduped indices so returned predicates accept
+    # any label of the original matrix.  The rank among first occurrences
+    # on the ORIGINAL matrix is the deduped index (comparing against
+    # deduped rows directly would fail: deduping rows changes the length
+    # of column tuples and vice versa).
+    _, row_ranks = _first_occurrences(tm.data.tolist())
+    _, col_ranks = _first_occurrences(tm.data.T.tolist())
+    root = _tree_from_serialized(
+        record["tree"],
+        dict(zip(tm.row_labels, row_ranks)),
+        dict(zip(tm.col_labels, col_ranks)),
+    )
+    return record["d"], ProtocolTree(root)
 
 
 def partition_number(
@@ -1254,45 +1192,15 @@ def partition_number(
     splits exactly as in :func:`communication_complexity` (bitset only;
     same value at any worker count).
     """
-    engine = _resolve_engine(engine)
-    n_workers = resolve_workers(workers)
-    with trace.span(
+    return _exact(
         "exhaustive.partition_number",
-        engine=engine,
-        workers=n_workers,
-        rows=int(tm.shape[0]),
-        cols=int(tm.shape[1]),
-    ) as sp:
-        deduped = dedupe(tm)
-        _check_size(deduped, _resolve_limit(limit, engine))
-        if sp is not None:
-            sp.annotate(
-                deduped_rows=int(deduped.shape[0]),
-                deduped_cols=int(deduped.shape[1]),
-            )
-        store, key = _cache_record(deduped, engine)
-        cached = _cache_lookup(store, key, "leaves")
-        if isinstance(cached, int):
-            return cached
-        if engine == "bitset" and n_workers > 1 and deduped.data.size > 1:
-            leaves = _parallel_root_min(deduped, "leaves", n_workers)
-        else:
-            search = _search_for(deduped, engine)
-            leaves = search.solve_leaves_root()
-        _cache_store(store, key, deduped, engine, {"leaves": leaves})
-        return leaves
+        tm, ("leaves",), limit, engine, workers,
+    )["leaves"]
 
 
-def _row_predicate(row_index: dict, right_set: frozenset):
+def _predicate(index: dict, right_set: frozenset):
     def predicate(label):
-        return 1 if row_index[label] in right_set else 0
-
-    return predicate
-
-
-def _col_predicate(col_index: dict, right_set: frozenset):
-    def predicate(label):
-        return 1 if col_index[label] in right_set else 0
+        return 1 if index[label] in right_set else 0
 
     return predicate
 
@@ -1305,14 +1213,9 @@ def _tree_from_serialized(serial, row_index: dict, col_index: dict):
         return Leaf(int(serial[1]))
     _tag, axis, right, left_subtree, right_subtree = serial
     right_set = frozenset(int(i) for i in right)
-    predicate = (
-        _row_predicate(row_index, right_set)
-        if axis == 0
-        else _col_predicate(col_index, right_set)
-    )
     return Node(
         int(axis),
-        predicate,
+        _predicate(col_index if axis else row_index, right_set),
         _tree_from_serialized(left_subtree, row_index, col_index),
         _tree_from_serialized(right_subtree, row_index, col_index),
     )

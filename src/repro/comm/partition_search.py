@@ -81,37 +81,29 @@ def _partition_cost_task(task) -> int:
     Module-level so :func:`repro.util.parallel.parmap` can pickle it; with
     ``workers > 1`` the predicate ``f`` must itself be picklable (a
     module-level function or a small callable object — see
-    :class:`_SingularityPredicate`).  Worker processes inherit
-    ``REPRO_CACHE_DIR`` through the environment, so a configured persistent
-    cache (:mod:`repro.cache`) warms every worker, not just the driver.
+    :class:`_SingularityPredicate`).  The D(f) call takes the default
+    engine and size limit.  Worker processes inherit ``REPRO_CACHE_DIR``
+    through the environment, so a configured persistent cache
+    (:mod:`repro.cache`) warms every worker, not just the driver.
     """
-    f, partition, dp_limit, engine = task
-    tm = truth_matrix_from_function(f, partition)
-    return communication_complexity(tm, limit=dp_limit, engine=engine)
+    f, partition = task
+    return communication_complexity(truth_matrix_from_function(f, partition))
 
 
 def best_partition_cc(
     f: Callable[[Sequence[int]], bool],
     total_bits: int,
     max_partitions: int = 5000,
-    dp_limit: int | None = None,
-    engine: str | None = None,
     workers: int | None = None,
-    chunksize: int | None = 1,
 ) -> PartitionSearchResult:
     """Exact Comm(f) = min over even partitions of exact D(f, π).
 
-    Refuses absurd enumerations (``max_partitions``); ``dp_limit`` and
-    ``engine`` are forwarded to the D(f) engine (size guard applies
+    Refuses absurd enumerations (``max_partitions``); every cell runs the
+    default D(f) engine under its default size limit (applied
     post-dedupe).  The sweep fans out over :func:`repro.util.parallel
     .parmap` — results are bit-identical at every worker count, and cells
     that repeat a deduplicated matrix reuse the shared search memo (plus
     the persistent :mod:`repro.cache` store when one is configured).
-
-    ``chunksize`` is forwarded to :func:`repro.util.parallel.parmap`;
-    the default is 1 (not parmap's throughput heuristic) because a D(f)
-    cell can cost orders of magnitude more than its neighbors and a
-    straggler must never strand queued cells behind it.
     """
     n_parts = count_even_partitions(total_bits)
     if n_parts > max_partitions:
@@ -120,11 +112,14 @@ def best_partition_cc(
             f"{max_partitions}"
         )
     partitions = list(even_partitions(total_bits))
+    # chunksize=1, not parmap's throughput heuristic: a D(f) cell can cost
+    # orders of magnitude more than its neighbors, and a straggler must
+    # never strand queued cells behind it.
     costs = parmap(
         _partition_cost_task,
-        [(f, partition, dp_limit, engine) for partition in partitions],
+        [(f, partition) for partition in partitions],
         workers=workers,
-        chunksize=chunksize,
+        chunksize=1,
     )
     best = None
     worst = None
@@ -189,10 +184,7 @@ class _SingularityPredicate:
 
 
 def min_partition_singularity(
-    k: int,
-    engine: str | None = None,
-    workers: int | None = None,
-    chunksize: int | None = 1,
+    k: int, workers: int | None = None
 ) -> PartitionSearchResult:
     """Exact min-over-partitions CC of 2×2 singularity with k-bit entries.
 
@@ -204,9 +196,5 @@ def min_partition_singularity(
 
     codec = MatrixBitCodec(2, 2, k)
     return best_partition_cc(
-        _SingularityPredicate(k),
-        codec.total_bits,
-        engine=engine,
-        workers=workers,
-        chunksize=chunksize,
+        _SingularityPredicate(k), codec.total_bits, workers=workers
     )

@@ -280,9 +280,9 @@ def handle_cost_estimate(params: dict, config: ServiceConfig) -> dict:
     }
 
 
-def _validated_matrix(params: dict, limit: int) -> list[list[int]]:
-    """Schema-check the ``matrix`` param: rectangular 0/1, within bounds."""
-    matrix = params.get("matrix")
+def _check_bit_matrix(matrix) -> None:
+    """Raise ``bad_request`` unless ``matrix`` is a non-empty rectangular
+    list of rows of 0/1 ints (``true``/``false`` are not entries)."""
     if not isinstance(matrix, list) or not matrix:
         raise HandlerError("bad_request", "matrix must be a non-empty list of rows")
     if not all(isinstance(row, list) and row for row in matrix):
@@ -294,6 +294,13 @@ def _validated_matrix(params: dict, limit: int) -> list[list[int]]:
         for cell in row:
             if cell not in (0, 1) or isinstance(cell, bool):
                 raise HandlerError("bad_request", "matrix entries must be 0 or 1")
+
+
+def _validated_matrix(params: dict, limit: int) -> list[list[int]]:
+    """Schema-check the ``matrix`` param: rectangular 0/1, within bounds."""
+    matrix = params.get("matrix")
+    _check_bit_matrix(matrix)
+    width = len(matrix[0])
     if len(matrix) > limit or width > limit:
         raise HandlerError(
             "too_large",
@@ -440,11 +447,14 @@ def coalesce_key(method: str, params: dict) -> str | None:
     if method not in DETERMINISTIC_METHODS:
         return None
     if method == "exhaustive.cc":
+        # Only a valid matrix may share a key: the key casts entries to
+        # uint8, so ``true`` would otherwise coalesce with ``1``.
         matrix = params.get("matrix")
         try:
-            return "cc:" + exhaustive_key(matrix)
-        except Exception:
-            return None  # invalid matrix — validation will reject it
+            _check_bit_matrix(matrix)
+        except HandlerError:
+            return None  # validation will reject it
+        return "cc:" + exhaustive_key(matrix)
     digest = hashlib.blake2b(digest_size=20)
     digest.update(_KEY_PREFIX)
     digest.update(b"\0")

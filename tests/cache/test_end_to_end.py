@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import cache, obs
+from repro.cache.store import decode_record, encode_record
 from repro.comm.exhaustive import (
     ENGINES,
     clear_search_cache,
@@ -74,6 +75,37 @@ class TestRoundTrip:
         for i, rl in enumerate(tm.row_labels):
             for j, cl in enumerate(tm.col_labels):
                 assert tree.evaluate(rl, cl)[0] == tm.data[i, j]
+
+    @pytest.mark.parametrize(
+        "field, wrong",
+        [("d", "3"), ("d", True), ("leaves", -1), ("tree", ["L", 2])],
+    )
+    def test_wrong_typed_field_falls_back_to_search(
+        self, tmp_path, engine, field, wrong
+    ):
+        # A parseable record whose field fails the schema is a miss for
+        # every entry point, not just the one that reads that field.
+        tm = gt(4)
+        calls = {
+            "d": lambda: communication_complexity(tm, engine=engine),
+            "leaves": lambda: partition_number(tm, engine=engine),
+            "tree": lambda: optimal_protocol_tree(tm, engine=engine)[0],
+        }
+        expected = {name: call() for name, call in calls.items()}
+        with cache.directory(tmp_path) as store:
+            for call in calls.values():
+                call()
+            (path,) = store.objects.glob("*.json")
+            record = decode_record(path.read_text())
+            record[field] = wrong
+            for name, call in calls.items():
+                path.write_text(encode_record(record))
+                clear_search_cache()
+                with obs.scoped():
+                    assert call() == expected[name]
+                    counters = obs.snapshot()["counters"]
+                assert counters["cache.misses"] == 1
+                assert counters["exhaustive.subproblems"] > 0
 
     def test_queries_accumulate_in_one_record(self, tmp_path, engine):
         tm = gt(4)

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from repro.comm.exhaustive import (
     communication_complexity,
-    configure_search_cache,
     partition_number,
-    search_cache_stats,
 )
 from repro.comm.truth_matrix import TruthMatrix
 
@@ -91,40 +89,3 @@ class TestParallelEqualsSequential:
             tm, workers=1
         )
 
-
-class TestSearchCacheConfiguration:
-    def test_limit_round_trip(self):
-        try:
-            assert configure_search_cache(5) == 5
-            assert search_cache_stats()["limit"] == 5
-            assert len(search_cache_stats()["entries"]) <= 5
-        finally:
-            assert configure_search_cache() == 64
-
-    def test_shrink_evicts_immediately(self):
-        try:
-            configure_search_cache(64)
-            for value in range(8):
-                tm = tm_from([[value >> 2 & 1, value >> 1 & 1], [value & 1, 1]])
-                communication_complexity(tm)
-            configure_search_cache(2)
-            assert search_cache_stats()["size"] <= 2
-        finally:
-            configure_search_cache()
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEARCH_CACHE_LIMIT", "7")
-        try:
-            assert configure_search_cache() == 7
-        finally:
-            monkeypatch.delenv("REPRO_SEARCH_CACHE_LIMIT")
-            assert configure_search_cache() == 64
-
-    def test_malformed_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEARCH_CACHE_LIMIT", "lots")
-        import pytest
-
-        with pytest.raises(ValueError):
-            configure_search_cache()
-        monkeypatch.delenv("REPRO_SEARCH_CACHE_LIMIT")
-        configure_search_cache()

@@ -163,6 +163,35 @@ class TestCoalescing:
         ) == 5
 
 
+    def test_bool_matrix_never_borrows_the_int_answer(self):
+        # true/false are not 0/1 entries: the gold says bad_request, and
+        # neither the memo nor an in-flight twin may answer otherwise.
+        bools = {"matrix": [[True, False], [False, True]]}
+        ints = {"matrix": [[1, 0], [0, 1]]}
+        with pytest.raises(HandlerError) as err:
+            execute_method("exhaustive.cc", bools, ServiceConfig())
+        assert err.value.code == "bad_request"
+        assert coalesce_key("exhaustive.cc", bools) is None
+
+        async def scenario(concurrent):
+            async with Service(ServiceConfig(workers=1)) as service:
+                first = request_frame("i", "exhaustive.cc", ints, tenant="a")
+                second = request_frame("b", "exhaustive.cc", bools, tenant="b")
+                if concurrent:  # the bool request arrives while ints is queued
+                    raw = await asyncio.gather(
+                        service.call(first), service.call(second)
+                    )
+                else:  # the bool request arrives after ints is memoized
+                    raw = [await service.call(first), await service.call(second)]
+            return [response_of(r) for r in raw]
+
+        for concurrent in (False, True):
+            answered, rejected = run(scenario(concurrent))
+            assert answered["ok"] and answered["result"]["d"] == 2
+            assert not rejected["ok"]
+            assert rejected["error"]["code"] == "bad_request"
+
+
 class TestAdmissionAndShedding:
     def test_tenant_inflight_cap(self):
         async def scenario():

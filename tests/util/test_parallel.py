@@ -193,7 +193,7 @@ class TestSharedPool:
 
     def test_repro_env_forks_new_pool(self):
         first = _pids()
-        with mock.patch.dict(os.environ, {"REPRO_SEARCH_CACHE_LIMIT": "3"}):
+        with mock.patch.dict(os.environ, {"REPRO_WORKERS": "3"}):
             assert _pids().isdisjoint(first)
 
     def test_broken_pool_raises_then_recovers(self):
